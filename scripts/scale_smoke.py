@@ -12,17 +12,21 @@ Three gates, all cheap enough for every merge:
    analytical phase-model layer (``macro=True``) must finish inside
    ``--macro-budget`` seconds and ``--macro-rss-mb`` peak RSS.  The
    macro layer's whole value is O(nodes) cost at any npes; a stray
-   per-PE loop or per-PE allocation shows up here immediately.  This
-   gate runs *before* the exact gate so the process RSS high-water
-   reflects the macro run, not the much larger exact-engine footprint.
+   per-PE loop or per-PE allocation shows up here immediately.  It
+   runs in this process; the exact gate below runs in a child, so the
+   process RSS high-water reflects the macro run alone.
 
 3. **Scale**: a 16,384-PE on-demand startup (one fig5 scale point) on
    the exact engine must finish inside ``--budget`` wall-clock
-   seconds.  The point of the calendar-queue scheduler is that dense
-   startup waves are O(1) amortized — a regression to heap-like
-   behaviour (or an accidental O(N^2) anywhere in the startup path)
-   blows the budget immediately rather than surfacing months later on
-   someone's 65,536-PE run.
+   seconds and ``--rss-kb-per-pe`` KiB of peak RSS per simulated PE.
+   The point of the calendar-queue scheduler is that dense startup
+   waves are O(1) amortized — a regression to heap-like behaviour (or
+   an accidental O(N^2) anywhere in the startup path) blows the budget
+   immediately rather than surfacing months later on someone's
+   65,536-PE run.  Likewise a per-PE buffer that startup never touches
+   (say, an eagerly zeroed heap backing array) blows the memory
+   budget.  The job runs in a fresh child process, so the peak RSS it
+   reports is its own, not the macro gate's.
 
 Usage::
 
@@ -33,6 +37,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import resource
 import sys
 import time
@@ -48,18 +53,31 @@ from repro.core import Job, RuntimeConfig  # noqa: E402
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden_trace_ondemand_128.txt"
 
 
-def scale_gate(npes: int, budget_s: float) -> bool:
-    print(f"[scale-smoke] {npes}-PE on-demand startup "
-          f"(budget {budget_s:.0f}s) ...", flush=True)
+def _exact_startup(npes: int) -> tuple:
+    """One exact-engine startup; returns (wall s, sim s, start_pes ms,
+    peak RSS KiB).  Meant for a fresh process: ``ru_maxrss`` is the
+    process-wide high-water."""
     t0 = time.perf_counter()
     job = Job(npes=npes, config=RuntimeConfig.proposed(),
               cluster=cluster_b(npes, ppn=32))
     result = job.run(HelloWorld())
     wall = time.perf_counter() - t0
-    ok = wall <= budget_s
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return (wall, result.wall_time_us / 1e6, result.startup.mean_us / 1e3,
+            rss_kb)
+
+
+def scale_gate(npes: int, budget_s: float, rss_kb_per_pe: float) -> bool:
+    print(f"[scale-smoke] {npes}-PE on-demand startup "
+          f"(budget {budget_s:.0f}s / {rss_kb_per_pe:.0f}KiB RSS per PE) "
+          "...", flush=True)
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        wall, sim_s, start_ms, rss_kb = pool.apply(_exact_startup, (npes,))
+    per_pe = rss_kb / npes
+    ok = wall <= budget_s and per_pe <= rss_kb_per_pe
     print(f"[scale-smoke] {npes}-PE: wall={wall:.1f}s "
-          f"sim={result.wall_time_us / 1e6:.2f}s "
-          f"start_pes={result.startup.mean_us / 1e3:.1f}ms "
+          f"rss={rss_kb / 1024:.0f}MB ({per_pe:.1f}KiB/PE) "
+          f"sim={sim_s:.2f}s start_pes={start_ms:.1f}ms "
           f"-> {'OK' if ok else 'OVER BUDGET'}", flush=True)
     return ok
 
@@ -122,6 +140,10 @@ def main(argv=None) -> int:
                         help="wall-clock budget in seconds (default 300; "
                              "the reference 1-core host runs 16K PEs in "
                              "~20s, so 300 absorbs slow shared runners)")
+    parser.add_argument("--rss-kb-per-pe", type=float, default=48.0,
+                        help="scale-gate peak-RSS budget in KiB per "
+                             "simulated PE (default 48; the reference "
+                             "host peaks ~24 KiB/PE at 16,384 PEs)")
     parser.add_argument("--macro-npes", type=int, default=262144,
                         help="macro-gate job size (default 262144)")
     parser.add_argument("--macro-budget", type=float, default=120.0,
@@ -137,11 +159,11 @@ def main(argv=None) -> int:
 
     ok = golden_gate()
     if not args.skip_scale:
-        # Macro first: getrusage's high-water is process-wide, so the
-        # RSS budget is only meaningful before the exact engine runs.
+        # getrusage's high-water is process-wide: the macro gate runs
+        # in this process, the exact gate in a child of its own.
         ok = macro_gate(args.macro_npes, args.macro_budget,
                         args.macro_rss_mb) and ok
-        ok = scale_gate(args.npes, args.budget) and ok
+        ok = scale_gate(args.npes, args.budget, args.rss_kb_per_pe) and ok
     if not ok:
         print("[scale-smoke] FAILED", flush=True)
         return 1

@@ -195,10 +195,12 @@ class VerbsContext:
 
         ``model_bytes`` overrides the size used for the *cost and
         accounting* (see SymmetricHeap: the simulator may back a large
-        modelled region with a smaller real buffer).
+        modelled region with a smaller real buffer).  Only the
+        allocation size is read: the backing array stays lazy until the
+        first data access.
         """
-        buf = self.mm.buffer_of(addr)
-        size_for_cost = model_bytes if model_bytes is not None else len(buf)
+        size = self.mm._size_of(addr)
+        size_for_cost = model_bytes if model_bytes is not None else size
         yield self.cost.mr_register_us(size_for_cost)
         region = self.mm.register(addr)
         self.hca.expose_memory(self.mm, region)

@@ -119,11 +119,11 @@ def _exchange_intranode_segments(pe: "ShmemPE") -> None:
 
     Installed as a lazy resolver: eagerly building ``ppn - 1`` entries
     on every PE is an O(ppn * N) simulator cost with no timing meaning
-    (the shared-memory mapping is already charged in bulk)."""
-    local = frozenset(pe.cluster.ranks_on_node(pe.cluster.node_of(pe.rank)))
+    (the shared-memory mapping is already charged in bulk).  Locality
+    is asked of the cluster, so a PE holds no copy of its node's ranks."""
 
-    def _resolve_local(peer: int, _pe=pe, _local=local):
-        if peer not in _local:
+    def _resolve_local(peer: int, _pe=pe):
+        if not _pe.cluster.same_node(peer, _pe.rank):
             return None
         region = _pe._peer(peer).heap_region
         return [SegmentInfo(addr=region.addr, size=region.size,

@@ -24,39 +24,56 @@ class Mailbox:
     ``recv()`` returns a waitable; yield it to obtain the next message.
     Messages are delivered in send order, receivers are woken in
     arrival order.
+
+    A mailbox never holds queued messages and blocked receivers at the
+    same time: ``send`` hands its message to a waiting receiver when
+    there is one, and ``recv`` takes a queued message when there is
+    one.  So one deque serves both roles, and ``_waiting`` says which:
+    it holds blocked receivers' events when true, messages when false.
+    The flag flips only while the deque is empty.  (Several mailboxes
+    per simulated PE make the saved second deque real memory at scale.)
     """
 
-    __slots__ = ("sim", "name", "_items", "_waiters")
+    __slots__ = ("sim", "name", "_queue", "_waiting")
 
     def __init__(self, sim: Simulator, name: str = "mbox") -> None:
         self.sim = sim
         self.name = name
-        self._items: Deque[Any] = deque()
-        self._waiters: Deque[SimEvent] = deque()
+        self._queue: Deque[Any] = deque()
+        self._waiting = False
 
     def __len__(self) -> int:
-        return len(self._items)
+        """Number of queued messages (blocked receivers do not count)."""
+        return 0 if self._waiting else len(self._queue)
 
     def send(self, item: Any) -> None:
         """Deposit a message; wakes one waiting receiver (if any)."""
-        if self._waiters:
-            self._waiters.popleft().succeed(item)
-        else:
-            self._items.append(item)
+        queue = self._queue
+        if self._waiting:
+            if queue:
+                queue.popleft().succeed(item)
+                return
+            self._waiting = False
+        queue.append(item)
 
     def recv(self) -> Waitable:
         """Waitable for the next message (immediate if one is queued)."""
         ev = self.sim.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
+        queue = self._queue
+        if self._waiting:
+            queue.append(ev)
+        elif queue:
+            ev.succeed(queue.popleft())
         else:
-            self._waiters.append(ev)
+            self._waiting = True
+            queue.append(ev)
         return ev
 
     def try_recv(self) -> Optional[Any]:
         """Non-blocking receive; ``None`` when empty."""
-        if self._items:
-            return self._items.popleft()
+        queue = self._queue
+        if queue and not self._waiting:
+            return queue.popleft()
         return None
 
 

@@ -1,12 +1,17 @@
-"""Additional verbs-facade coverage: teardown, dereg, bulk destroy."""
+"""Additional verbs-facade coverage: teardown, dereg, bulk destroy,
+lazy heap backing."""
 
 import pytest
 
+from repro.apps import HelloWorld
+from repro.cluster import cluster_b
+from repro.core import Job, RuntimeConfig
 from repro.errors import MemoryRegistrationError, QPStateError
-from repro.ib import QPState
+from repro.ib import Opcode, QPState
 from repro.sim import spawn
 
 from ..conftest import build_rig
+from .test_qp_transport import _connect_pair
 
 
 class TestTeardown:
@@ -103,6 +108,76 @@ class TestMemoryLifecycle:
         rig2.sim.run()
         assert marks["dt"] == pytest.approx(cost.mr_register_us(256 * 1024 * 1024))
         assert ctx.registered_bytes == 256 * 1024 * 1024
+
+
+class TestLazyBacking:
+    """``reg_mr`` reads only the allocation size: the backing array is
+    created by the first data access, never by registration."""
+
+    SIZE = 64 * 1024
+
+    def test_reg_mr_leaves_backing_pending(self, rig2):
+        ctx = rig2.ctxs[0]
+        cost = rig2.cluster.cost
+        out = {}
+
+        def proc(sim):
+            addr = ctx.mm.alloc(self.SIZE)
+            t0 = sim.now
+            out["region"] = yield from ctx.reg_mr(addr)
+            out["dt"] = sim.now - t0
+
+        spawn(rig2.sim, proc(rig2.sim))
+        rig2.sim.run()
+        region = out["region"]
+        pending = ctx.mm._buffers[region.addr]
+        assert pending.__class__ is int and pending == self.SIZE
+        assert region.size == self.SIZE
+        assert ctx.registered_bytes == self.SIZE
+        assert ctx.mm.registered_bytes == self.SIZE
+        assert out["dt"] == pytest.approx(cost.mr_register_us(self.SIZE))
+
+    def test_first_rdma_write_materialises_backing(self, rig2):
+        pair = _connect_pair(rig2)
+        ctx1 = rig2.ctxs[1]
+        out = {}
+
+        def proc(sim):
+            region = yield from ctx1.reg_mr(ctx1.mm.alloc(self.SIZE))
+            out["before"] = ctx1.mm._buffers[region.addr].__class__
+            yield from rig2.ctxs[0].post_rdma_write(
+                pair["qa"], b"lazy-bytes", region.addr + 100, region.rkey
+            )
+            wc = yield from rig2.ctxs[0].poll(pair["sa"])
+            assert wc.opcode is Opcode.RDMA_WRITE
+            out["backing"] = ctx1.mm._buffers[region.addr]
+            yield from rig2.ctxs[0].post_rdma_read(
+                pair["qa"], 10, region.addr + 100, region.rkey
+            )
+            out["read"] = (yield from rig2.ctxs[0].poll(pair["sa"])).data
+
+        spawn(rig2.sim, proc(rig2.sim))
+        rig2.sim.run()
+        assert out["before"] is int
+        backing = out["backing"]
+        assert len(backing) == self.SIZE
+        assert bytes(backing[100:110]) == b"lazy-bytes"
+        assert not backing[:100].any() and not backing[110:].any()
+        assert out["read"] == b"lazy-bytes"
+
+    @pytest.mark.parametrize("corner", ["proposed", "current"])
+    def test_hello_world_materialises_no_heap(self, corner):
+        """A startup-only job registers every PE's heap and moves no
+        data through it, so no heap backing array may exist."""
+        config = getattr(RuntimeConfig, corner)()
+        job = Job(npes=256, config=config, cluster=cluster_b(256, ppn=16))
+        job.run(HelloWorld())
+        touched = [
+            pe.rank for pe in job.pes
+            if job.ctxs[pe.rank].mm._buffers[pe.heap.base].__class__
+            is not int
+        ]
+        assert touched == []
 
 
 class TestBulkValidation:
