@@ -64,9 +64,9 @@ def churn_gate(npes: int, footprint_csv: str = None) -> bool:
     app = ChurnWorkload(epochs=EPOCHS, partners=PARTNERS, requests=4,
                         idle_gap_us=IDLE_GAP_US)
     policy = LifecyclePolicy(policy="lru")
-    job = Job(npes=npes, config=RuntimeConfig.proposed(lifecycle=policy),
-              cluster=cluster_a(npes, ppn=8),
-              observe={"timeline": True}, check=True)
+    config = RuntimeConfig.proposed(
+        lifecycle=policy, observe={"timeline": True}, check=True)
+    job = Job(npes=npes, config=config, cluster=cluster_a(npes, ppn=8))
     result = job.run(app)
     wall = time.perf_counter() - t0
 

@@ -55,21 +55,17 @@ def job_spec(
     config: RuntimeConfig,
     testbed: str = "A",
     ppn: Optional[int] = None,
-    observe: Any = False,
-    check=None,
-    macro: bool = False,
     **config_overrides,
 ) -> JobSpec:
     """Describe one job on the named paper testbed (A or B).
 
-    ``observe`` accepts ``bool``, ``{"timeline": ...}``, or a
-    :class:`repro.obs.TimelineConfig` (see ``repro.obs.timeline``).
-    ``macro=True`` routes through the analytical phase-model layer
-    (closed-form startup; the very-large-scale path)."""
+    ``config_overrides`` evolve ``config`` — every run option lives
+    there (e.g. ``observe={"timeline": True}``, ``check=True``,
+    ``macro=True`` for the analytical phase-model layer)."""
     if config_overrides:
         config = config.evolve(**config_overrides)
     return JobSpec(app=app, npes=npes, config=config, testbed=testbed,
-                   ppn=ppn, observe=observe, check=check, macro=macro)
+                   ppn=ppn)
 
 
 def run_job(
@@ -78,22 +74,15 @@ def run_job(
     config: RuntimeConfig,
     testbed: str = "A",
     ppn: Optional[int] = None,
-    observe: Any = False,
-    check=None,
-    macro: bool = False,
     **config_overrides,
 ) -> JobResult:
     """Run one job on the named paper testbed (A or B), in-process.
 
-    ``observe=True`` runs with the flight recorder on; the result then
-    carries a ``telemetry`` section experiments can assert against
-    (``observe={"timeline": True}`` adds the sampled time-series).
-    ``check`` (a :class:`repro.check.CheckPlan`, config dict, or
-    ``True``) arms the invariant sanitizer; the result then carries a
-    ``check`` report.  ``macro=True`` uses the analytical phase models.
+    With ``observe=True`` the result carries a ``telemetry`` section
+    experiments can assert against; with ``check`` set it carries a
+    ``check`` report (see :func:`job_spec` for the overrides).
     """
     return execute(job_spec(app, npes, config, testbed=testbed, ppn=ppn,
-                            observe=observe, check=check, macro=macro,
                             **config_overrides))
 
 

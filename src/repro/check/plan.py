@@ -3,10 +3,10 @@
 A :class:`CheckPlan` is pure data — a frozen, hashable description of
 which per-layer auditors the sanitizer should arm and how violations
 surface.  It mirrors :class:`repro.faults.FaultPlan`: the same plan can
-be printed, round-tripped through a config dict, attached to a
-:class:`~repro.core.config.RuntimeConfig` or passed to ``Job(check=...)``
-directly.  The runtime evaluation (per-layer hook state, the final
-audit) lives in :class:`repro.check.sanitizer.Sanitizer`.
+be printed, round-tripped through a config dict, and attached to a
+:class:`~repro.core.config.RuntimeConfig` as ``check``.  The runtime
+evaluation (per-layer hook state, the final audit) lives in
+:class:`repro.check.sanitizer.Sanitizer`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ class CheckPlan:
     Example::
 
         plan = CheckPlan(name="teardown-audit", pmi=False)
-        result = Job(npes=16, check=plan).run(app)
+        config = RuntimeConfig.proposed(check=plan)
+        result = Job(npes=16, config=config).run(app)
         result.check["violations"]   # [] on a clean run
 
     ``strict=True`` (the default) raises a structured

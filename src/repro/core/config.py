@@ -8,6 +8,8 @@ cannot help the static scheme).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -45,7 +47,7 @@ class RuntimeConfig:
     #: Real backing buffer per PE (KB) actually materialised for data.
     #: Raise for data-heavy apps; see SymmetricHeap.
     heap_backing_kb: int = 64
-    #: RNG master seed for the whole job.
+    #: RNG master seed for the whole job (a non-negative ``int``).
     seed: int = 12345
     #: Enable the flight recorder (:mod:`repro.obs`): span tracing +
     #: metrics registry on every substrate.  Off by default; when off
@@ -57,7 +59,7 @@ class RuntimeConfig:
     observe: Any = False
     #: Deterministic fault plan (:class:`repro.faults.FaultPlan` or the
     #: equivalent config dict); ``None`` disables injection.
-    fault_plan: Optional[FaultPlan] = None
+    faults: Optional[FaultPlan] = None
     #: Invariant sanitizer plan (:class:`repro.check.CheckPlan`, the
     #: equivalent config dict, or ``True`` for the default plan);
     #: ``None`` disables auditing.
@@ -73,9 +75,10 @@ class RuntimeConfig:
     #: startup metrics through closed-form cost curves instead of the
     #: per-PE event swarm.  Off by default — the exact engine is the
     #: reference; macro mode exists for very large scale points
-    #: (Figure 5 beyond ~10^5 PEs).  Incompatible with trace, faults,
-    #: observe, check and lifecycle; ``Job(macro=...)`` overrides.
-    macro_phases: bool = False
+    #: (Figure 5 beyond ~10^5 PEs).  Models the two paper corners only
+    #: and is incompatible with faults, observe, check and an enabled
+    #: lifecycle (and with ``Job(trace=True)``).
+    macro: bool = False
 
     def __post_init__(self) -> None:
         if self.connection_mode not in _CONNECTION_MODES:
@@ -84,21 +87,38 @@ class RuntimeConfig:
             raise ConfigError(f"pmi_mode must be one of {_PMI_MODES}")
         if self.barrier_mode not in _BARRIER_MODES:
             raise ConfigError(f"barrier_mode must be one of {_BARRIER_MODES}")
-        if self.heap_mb <= 0:
-            raise ConfigError("heap_mb must be positive")
-        if self.heap_backing_kb <= 0:
-            raise ConfigError("heap_backing_kb must be positive")
-        object.__setattr__(self, "observe", canonical_observe(self.observe))
-        if isinstance(self.fault_plan, dict):
-            object.__setattr__(
-                self, "fault_plan", FaultPlan.from_dict(self.fault_plan)
+        if not isinstance(self.piggyback_segments, bool):
+            raise ConfigError(
+                f"piggyback_segments must be a bool, "
+                f"got {self.piggyback_segments!r}"
             )
-        elif self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
+        if not (
+            isinstance(self.heap_mb, numbers.Real)
+            and math.isfinite(self.heap_mb) and self.heap_mb > 0
         ):
             raise ConfigError(
-                f"fault_plan must be a FaultPlan or config dict, "
-                f"got {self.fault_plan!r}"
+                f"heap_mb must be finite and positive, got {self.heap_mb!r}"
+            )
+        if self.heap_backing_kb <= 0:
+            raise ConfigError("heap_backing_kb must be positive")
+        if (
+            not isinstance(self.seed, numbers.Integral)
+            or isinstance(self.seed, bool) or self.seed < 0
+        ):
+            raise ConfigError(
+                f"seed must be a non-negative int, got {self.seed!r}"
+            )
+        object.__setattr__(self, "observe", canonical_observe(self.observe))
+        if isinstance(self.faults, dict):
+            object.__setattr__(
+                self, "faults", FaultPlan.from_dict(self.faults)
+            )
+        elif self.faults is not None and not isinstance(
+            self.faults, FaultPlan
+        ):
+            raise ConfigError(
+                f"faults must be a FaultPlan or config dict, "
+                f"got {self.faults!r}"
             )
         if self.check is True:
             object.__setattr__(self, "check", CheckPlan())
@@ -121,6 +141,34 @@ class RuntimeConfig:
             raise ConfigError(
                 f"lifecycle must be a LifecyclePolicy or config dict, "
                 f"got {self.lifecycle!r}"
+            )
+        if self.macro:
+            self._check_macro()
+
+    def _check_macro(self) -> None:
+        """The macro layer reproduces metrics, not events: anything that
+        hooks the event stream has nothing to hook, and only the paper's
+        two corners have phase models."""
+        if self.faults is not None and not self.faults.empty:
+            raise ConfigError("macro mode cannot inject faults")
+        if self.observe:
+            raise ConfigError("macro mode has no flight recorder")
+        if self.check is not None:
+            raise ConfigError("macro mode cannot run the sanitizer")
+        if self.lifecycle is not None and self.lifecycle.enabled:
+            raise ConfigError("macro mode does not model connection lifecycle")
+        axes = (self.connection_mode, self.pmi_mode, self.barrier_mode)
+        if axes == ("ondemand", "nonblocking", "intranode"):
+            if not self.piggyback_segments:
+                raise ConfigError(
+                    "macro mode does not model the D1 ablation "
+                    "(piggyback_segments=False); use the exact engine"
+                )
+        elif axes != ("static", "blocking", "global"):
+            raise ConfigError(
+                "macro mode models the paper's two design corners only "
+                "(static+blocking+global or ondemand+nonblocking+intranode), "
+                f"not {self.label!r}; use the exact engine for ablations"
             )
 
     # -- the paper's two corners ------------------------------------------

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import gc
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from ..check import CheckPlan, Sanitizer
+from ..check import Sanitizer
 from ..cluster import Cluster, cluster_a
 from ..errors import ConfigError, InvariantViolation
-from ..faults import FaultInjector, FaultPlan
+from ..faults import FaultInjector
 from ..gasnet import ConduitNetwork, OnDemandConduit, StaticConduit
 from ..gasnet.conduit import install_timeline_probes as _conduit_probes
 from ..ib import HCA, Fabric, VerbsContext
@@ -33,7 +33,7 @@ from ..obs import Observability, parse_observe
 from ..shmem.runtime import install_timeline_probes as _shmem_probes
 from ..pmi import PMIClient, PMIDomain
 from ..shmem import ShmemPE
-from ..shmem.models import run_macro_job, supported_corner
+from ..shmem.models import run_macro_job
 from ..sim import Barrier, Counters, RngRegistry, Simulator, Tracer, spawn, spawn_batch
 from .config import RuntimeConfig
 from .metrics import JobResult, ResourceReport, StartupReport
@@ -49,22 +49,13 @@ class Job:
         npes: int,
         config: Optional[RuntimeConfig] = None,
         cluster: Optional[Cluster] = None,
-        cluster_factory: Optional[Callable[[int], Cluster]] = None,
-        trace: bool = False,
-        faults: Optional[FaultPlan] = None,
-        observe=None,
-        check: Optional[CheckPlan] = None,
         scheduler: str = "calendar",
-        macro: Optional[bool] = None,
+        trace: bool = False,
     ) -> None:
         if npes < 1:
             raise ConfigError("npes must be >= 1")
         self.config = config or RuntimeConfig.proposed()
-        if cluster is not None:
-            self.cluster = cluster
-        else:
-            factory = cluster_factory or cluster_a
-            self.cluster = factory(npes)
+        self.cluster = cluster if cluster is not None else cluster_a(npes)
         if self.cluster.npes != npes:
             raise ConfigError(
                 f"cluster sized for {self.cluster.npes} PEs, job wants {npes}"
@@ -72,34 +63,14 @@ class Job:
         self.npes = npes
 
         # -- analytical phase models (macro mode) ----------------------
-        # Explicit arg wins over config, like faults/observe/check.
-        self.macro = (
-            bool(macro) if macro is not None else self.config.macro_phases
-        )
+        # RuntimeConfig already refused every option macro cannot
+        # model; trace is the one Job argument that conflicts with it.
+        self.macro = self.config.macro
         if self.macro:
-            # The macro layer reproduces metrics, not events: anything
-            # that hooks the event stream has nothing to hook.
             if trace:
                 raise ConfigError(
                     "macro mode produces no event trace (trace=True)"
                 )
-            plan = faults if faults is not None else self.config.fault_plan
-            if plan is not None and not plan.empty:
-                raise ConfigError("macro mode cannot inject faults")
-            obs_arg = observe if observe is not None else self.config.observe
-            obs_on, _ = parse_observe(obs_arg)
-            if obs_on:
-                raise ConfigError("macro mode has no flight recorder")
-            if check is not None and check is not False or (
-                check is None and self.config.check is not None
-            ):
-                raise ConfigError("macro mode cannot run the sanitizer")
-            lifecycle = self.config.lifecycle
-            if lifecycle is not None and lifecycle.enabled:
-                raise ConfigError(
-                    "macro mode does not model connection lifecycle"
-                )
-            supported_corner(self.config)  # fail fast on ablations
             self._scheduler = scheduler
             # No machine: the reducers read MacroRunResult instead.
             self.sim = None
@@ -112,13 +83,11 @@ class Job:
         # -- machine assembly ------------------------------------------
         self.sim = Simulator(scheduler=scheduler)
         #: Flight recorder (spans + metrics registry, optionally the
-        #: timeline sampler); None unless the job was built with
-        #: observe=True / observe={"timeline": ...} (arg wins over
-        #: config).  Every substrate holds an ``obs`` pointer that stays
-        #: None when off, so instrumentation costs one predicate check
-        #: per site.
-        obs_arg = observe if observe is not None else self.config.observe
-        obs_on, timeline_cfg = parse_observe(obs_arg)
+        #: timeline sampler); None unless the config sets observe=True
+        #: / observe={"timeline": ...}.  Every substrate holds an
+        #: ``obs`` pointer that stays None when off, so instrumentation
+        #: costs one predicate check per site.
+        obs_on, timeline_cfg = parse_observe(self.config.observe)
         self.obs: Optional[Observability] = (
             Observability(self.sim, timeline=timeline_cfg) if obs_on else None
         )
@@ -149,8 +118,8 @@ class Job:
             self.pmi_domain.obs = self.obs
             for client in self.pmi:
                 client.obs = self.obs
-        # -- fault injection (explicit arg wins over config) ------------
-        plan = faults if faults is not None else self.config.fault_plan
+        # -- fault injection -------------------------------------------
+        plan = self.config.faults
         self.fault_injector: Optional[FaultInjector] = None
         if plan is not None and not plan.empty:
             self.fault_injector = FaultInjector(
@@ -161,19 +130,8 @@ class Job:
             )
             if self.obs is not None:
                 self.fault_injector.obs = self.obs
-        # -- invariant sanitizer (explicit arg wins over config) --------
-        check_plan = check if check is not None else self.config.check
-        if check_plan is True:
-            check_plan = CheckPlan()
-        elif check_plan is False:
-            check_plan = None
-        elif isinstance(check_plan, dict):
-            check_plan = CheckPlan.from_dict(check_plan)
-        elif check_plan is not None and not isinstance(check_plan, CheckPlan):
-            raise ConfigError(
-                f"check must be a CheckPlan, config dict, or bool, "
-                f"got {check_plan!r}"
-            )
+        # -- invariant sanitizer ---------------------------------------
+        check_plan = self.config.check
         self.sanitizer: Optional[Sanitizer] = None
         if check_plan is not None and not check_plan.empty:
             self.sanitizer = Sanitizer(

@@ -95,7 +95,8 @@ class JobResult:
     #: job ran with ``check=...``; ``None`` otherwise.
     check: Optional[Dict[str, Any]] = None
     #: True when the metrics came from the analytical phase-model layer
-    #: (``Job(macro=True)``) instead of the exact event simulation.
+    #: (``RuntimeConfig(macro=True)``) instead of the exact event
+    #: simulation.
     macro: bool = False
 
     @property

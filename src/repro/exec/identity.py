@@ -1,43 +1,21 @@
-"""Canonical JobSpec identity: the content hash that *is* the result key.
+"""Canonical JobSpec identity: a content hash of the spec's fields.
 
 A :class:`~repro.exec.JobSpec` fully determines its
 :class:`~repro.core.metrics.JobResult` (the determinism contract in
-``repro.exec.pool``), so a collision-free digest of the spec's semantic
-content is a sound cache key: two specs with the same hash produce
-byte-identical results, and a cached result can be returned in place of
-a fresh run with no loss of exactness.  ``repro.serve`` builds its
-content-addressed result cache on exactly this property.
+``repro.exec.pool``), so a digest of the spec's content names a run:
+distinct specs hash differently, and :class:`~repro.exec.SweepError`
+messages use it so a failure is never misattributed to another point
+of the grid.
 
-Canonicalisation rules
-----------------------
-The hash covers the *effective* simulation inputs, after the same
-precedence :func:`repro.exec.execute` and :class:`repro.core.Job`
-apply, so trivially-aliased spellings of the same run share a hash:
-
-* ``label`` is display-only and **never** hashed.
-* ``ppn=None`` folds to the testbed default (8 on A, 16 on B) —
-  the value ``_cluster_for`` would use anyway.
-* ``seed`` (the per-spec override) folds into ``config.seed``:
-  ``JobSpec(config=cfg, seed=7)`` and ``JobSpec(config=cfg.evolve(
-  seed=7))`` hash identically, mirroring ``execute()``'s
-  ``config.evolve(seed=...)``.
-* spec-level ``observe`` / ``faults`` / ``check`` / ``macro`` win over
-  their ``config`` counterparts exactly as ``Job`` resolves them; only
-  the effective value is hashed, in its canonical plain form
-  (``canonical_observe`` / ``as_dict``).
-* empty plans fold to ``None``: a ``FaultPlan`` with no rules, a
-  ``CheckPlan`` with every auditor off, an empty ``cost_overrides``
-  tuple, and a disabled ``LifecyclePolicy`` all behave exactly like
-  their absent forms in ``Job``, so they hash like them too.
-* a lifecycle policy under ``connection_mode="static"`` folds to
-  ``None`` (the static conduit never installs one).
-* plan ``name`` fields are kept conservatively: they are display-only
-  today, but hashing them costs only a missed dedup, never a wrong
-  cache hit.
+The hash covers the spec's own fields — ``app`` (type and parameters),
+``npes``, ``config``, ``testbed``, ``ppn`` and ``cost_overrides`` —
+reduced to plain data as written.  It resolves no effective values:
+``RuntimeConfig`` is the one carrier of run options and coerces them
+when it is built, so there is nothing left to reconcile.
 
 Values must be plain data (bool/int/float/str/None, mappings,
-sequences) — anything else raises a one-line :class:`ConfigError`
-rather than hashing an unstable ``repr``.
+sequences, dataclasses) — anything else raises a one-line
+:class:`ConfigError` rather than hashing an unstable ``repr``.
 """
 
 from __future__ import annotations
@@ -46,31 +24,20 @@ import dataclasses
 import hashlib
 import json
 import numbers
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 from ..errors import ConfigError
 
 __all__ = [
-    "default_ppn",
     "canonical_spec",
     "canonical_json",
     "spec_hash",
     "spec_identity",
 ]
 
-#: Bump when the canonical layout changes incompatibly — persisted
-#: caches keyed on the old layout then miss cleanly instead of
-#: colliding.
-_CANONICAL_VERSION = 1
-
 #: Hex digits of the full hash appended to :func:`spec_identity`
 #: strings (48 bits — collision-free at any realistic sweep size).
 _IDENTITY_DIGEST_CHARS = 12
-
-
-def default_ppn(testbed: str) -> int:
-    """The ppn ``execute`` uses when the spec leaves it ``None``."""
-    return 8 if testbed == "A" else 16
 
 
 def _plain(value: Any, where: str) -> Any:
@@ -107,80 +74,19 @@ def _plain(value: Any, where: str) -> Any:
     )
 
 
-def _canonical_observe(value: Any) -> Any:
-    """``False`` / ``True`` / timeline-config dict."""
-    from ..obs.timeline import canonical_observe
-
-    canon = canonical_observe(value)
-    if canon is False or canon is True:
-        return canon
-    return _plain(canon.as_dict(), "observe")
-
-
 def canonical_spec(spec: Any) -> Dict[str, Any]:
-    """The canonical plain-data form of a spec (what gets hashed).
-
-    Deterministic, JSON-serialisable, and label-free; see the module
-    docstring for the folding rules.
-    """
+    """The canonical plain-data form of a spec (what gets hashed)."""
     app = spec.app
-    app_type = f"{type(app).__module__}.{type(app).__qualname__}"
-    params = {
-        k: _plain(v, f"app.{k}") for k, v in sorted(vars(app).items())
-    }
-
-    config = spec.config
-
-    # Effective values, resolved with Job's arg-wins-over-config rules.
-    observe = spec.observe if spec.observe is not False else config.observe
-    faults = spec.faults if spec.faults is not None else config.fault_plan
-    check = spec.check if spec.check is not None else config.check
-    macro = True if spec.macro else bool(config.macro_phases)
-    seed = spec.seed if spec.seed is not None else config.seed
-
-    faults_c = (
-        None if faults is None or faults.empty
-        else _plain(faults.as_dict(), "faults")
-    )
-    check_c = (
-        None if check is None or check.empty
-        else _plain(check.as_dict(), "check")
-    )
-    lifecycle = config.lifecycle
-    lifecycle_c = (
-        None
-        if (lifecycle is None or not lifecycle.enabled
-            or config.connection_mode != "ondemand")
-        else _plain(lifecycle.as_dict(), "lifecycle")
-    )
-
-    overrides = spec.cost_overrides
-    overrides_c: Optional[List[List[Any]]] = (
-        None if not overrides
-        else [[k, _plain(v, f"cost_overrides.{k}")] for k, v in overrides]
-    )
-
     return {
-        "v": _CANONICAL_VERSION,
-        "app": {"type": app_type, "params": params},
-        "npes": spec.npes,
-        "testbed": spec.testbed,
-        "ppn": spec.ppn if spec.ppn is not None else default_ppn(spec.testbed),
-        "cost_overrides": overrides_c,
-        "config": {
-            "connection_mode": config.connection_mode,
-            "pmi_mode": config.pmi_mode,
-            "barrier_mode": config.barrier_mode,
-            "piggyback_segments": config.piggyback_segments,
-            "heap_mb": _plain(config.heap_mb, "config.heap_mb"),
-            "heap_backing_kb": config.heap_backing_kb,
-            "seed": seed,
-            "lifecycle": lifecycle_c,
+        "app": {
+            "type": f"{type(app).__module__}.{type(app).__qualname__}",
+            "params": _plain(vars(app), "app"),
         },
-        "observe": _canonical_observe(observe),
-        "faults": faults_c,
-        "check": check_c,
-        "macro": macro,
+        "npes": spec.npes,
+        "config": _plain(spec.config, "config"),
+        "testbed": spec.testbed,
+        "ppn": spec.ppn,
+        "cost_overrides": _plain(spec.cost_overrides, "cost_overrides"),
     }
 
 
@@ -198,35 +104,13 @@ def canonical_json(spec: Any) -> str:
 
 
 def spec_hash(spec: Any) -> str:
-    """SHA-256 hex digest of the canonical spec — the result-cache key."""
+    """SHA-256 hex digest of the canonical spec."""
     return hashlib.sha256(canonical_json(spec).encode("ascii")).hexdigest()
 
 
 def spec_identity(spec: Any) -> str:
-    """Collision-free human-readable identity (never the ``label``).
-
-    The derived descriptive prefix (app, size, design point, every
-    armed subsystem) plus the first 12 hex chars of
-    :func:`spec_hash`, so error messages and progress lines always
-    distinguish specs that differ *anywhere* semantic — including
-    ``faults`` and ``cost_overrides``, which the display ``key``
-    historically omitted.
-    """
-    app_name = getattr(spec.app, "name", type(spec.app).__name__)
-    parts = [app_name, f"n{spec.npes}", spec.config.label,
-             f"tb{spec.testbed}"]
-    if spec.ppn is not None:
-        parts.append(f"ppn{spec.ppn}")
-    if spec.seed is not None:
-        parts.append(f"seed{spec.seed}")
-    if spec.observe:
-        parts.append("obs" if spec.observe is True else "obs-tl")
-    if spec.faults is not None and not spec.faults.empty:
-        parts.append("faults")
-    if spec.check is not None:
-        parts.append("check")
-    if spec.cost_overrides:
-        parts.append("co")
-    if spec.macro:
-        parts.append("macro")
-    return "-".join(parts) + f"#{spec_hash(spec)[:_IDENTITY_DIGEST_CHARS]}"
+    """Collision-free human-readable identity: the descriptive
+    :attr:`JobSpec.key` plus the first 12 hex chars of
+    :func:`spec_hash`, so error messages always distinguish specs that
+    differ *anywhere*."""
+    return f"{spec.key}#{spec_hash(spec)[:_IDENTITY_DIGEST_CHARS]}"

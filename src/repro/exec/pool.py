@@ -49,10 +49,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..check import CheckPlan
 from ..errors import ConfigError
-from ..faults import FaultPlan
-from .identity import default_ppn, spec_identity
+from .identity import spec_identity
 
 __all__ = ["JobSpec", "SweepError", "execute", "resolve_workers",
            "resolve_workers_info", "run_sweep"]
@@ -72,16 +70,12 @@ class SweepError(RuntimeError):
     """A sweep job failed; carries the spec and the original exception.
 
     The message names the job by its collision-free :attr:`JobSpec.
-    identity` (with the display ``label``, when set, as a prefix) so a
-    failure is never misattributed to a different point of the grid —
-    ``label`` alone can be shared, and the descriptive ``key`` omits
-    ``faults``/``cost_overrides``.
+    identity`, so a failure is never misattributed to a different point
+    of the grid.
     """
 
     def __init__(self, spec: "JobSpec", cause: BaseException) -> None:
-        identity = spec.identity
-        name = f"{spec.label} ({identity})" if spec.label else identity
-        super().__init__(f"sweep job {name} failed: {cause!r}")
+        super().__init__(f"sweep job {spec.identity} failed: {cause!r}")
         self.spec = spec
         self.cause = cause
 
@@ -90,9 +84,10 @@ class SweepError(RuntimeError):
 class JobSpec:
     """One picklable experiment point.
 
-    ``config`` (with ``seed`` folded in) plus the cluster description
-    (``testbed``/``ppn``/``cost_overrides``) and the ``app`` instance
-    fully determine the simulation.  App instances must be picklable
+    ``config`` carries every run option (seed, faults, observe, check,
+    lifecycle, macro); it plus the cluster description (``testbed`` /
+    ``ppn`` / ``cost_overrides``) and the ``app`` instance fully
+    determine the simulation.  App instances must be picklable
     module-level classes holding plain parameters — every app in
     ``repro.apps`` and ``repro.bench.microbench`` qualifies.
     """
@@ -102,27 +97,10 @@ class JobSpec:
     config: Any  # RuntimeConfig (kept untyped to avoid an import cycle)
     testbed: str = "A"
     ppn: Optional[int] = None
-    #: Override ``config.seed`` for this point (ablation sweeps vary the
-    #: seed without re-evolving the whole config).
-    seed: Optional[int] = None
-    #: Flight-recorder switch: ``bool``, ``{"timeline": ...}``, or a
-    #: ``repro.obs.TimelineConfig``; normalised to ``False`` / ``True``
-    #: / ``TimelineConfig`` so specs stay hashable + picklable.
-    observe: Any = False
-    faults: Optional[FaultPlan] = None
-    #: Invariant sanitizer plan (CheckPlan or config dict); ``None``
-    #: runs unaudited.
-    check: Optional[CheckPlan] = None
     #: CostModel fields to evolve on top of the testbed's preset (e.g.
     #: ``{"qp_cache_entries": 8}`` for ablation D5).  Normalised to a
     #: sorted tuple so specs stay hashable.
     cost_overrides: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: Human-readable tag used in error messages and progress output.
-    label: Optional[str] = None
-    #: Run through the analytical phase-model layer instead of the
-    #: exact event simulation (``Job(macro=True)``); the scale sweeps
-    #: flip this on for their largest points.
-    macro: bool = False
 
     def __post_init__(self) -> None:
         if self.npes < 1:
@@ -134,9 +112,6 @@ class JobSpec:
             )
         if self.ppn is not None and self.ppn < 1:
             raise ConfigError(f"JobSpec.ppn must be >= 1, got {self.ppn}")
-        from ..obs.timeline import canonical_observe
-
-        object.__setattr__(self, "observe", canonical_observe(self.observe))
         overrides = self.cost_overrides
         if isinstance(overrides, Mapping):
             overrides = tuple(sorted(overrides.items()))
@@ -166,53 +141,38 @@ class JobSpec:
                         f"JobSpec.cost_overrides[{key!r}] must be a "
                         f"hashable value, got {value!r}"
                     )
-        if self.check is True:
-            object.__setattr__(self, "check", CheckPlan())
-        elif self.check is False:
-            object.__setattr__(self, "check", None)
-        elif isinstance(self.check, Mapping):
-            object.__setattr__(self, "check", CheckPlan.from_dict(dict(self.check)))
-        elif self.check is not None and not isinstance(self.check, CheckPlan):
-            raise ConfigError(
-                f"JobSpec.check must be a CheckPlan, config dict, or bool, "
-                f"got {self.check!r}"
-            )
 
     @property
     def key(self) -> str:
-        """Display string: the ``label`` when set, else a descriptive
-        derived form.  NOT collision-free — distinct specs can share a
-        label, and the derived form elides override details.  Anything
-        attributing behaviour to a spec (errors, dedup, caching) must
-        use :attr:`identity` or :func:`repro.exec.spec_hash` instead.
+        """Descriptive display string: app, size, design point,
+        testbed, a non-default seed and every armed option.  NOT
+        collision-free — it elides option details — so anything
+        attributing behaviour to a spec must use :attr:`identity` or
+        :func:`repro.exec.spec_hash` instead.
         """
-        if self.label:
-            return self.label
+        config = self.config
         app_name = getattr(self.app, "name", type(self.app).__name__)
-        parts = [app_name, f"n{self.npes}", self.config.label,
+        parts = [app_name, f"n{self.npes}", config.label,
                  f"tb{self.testbed}"]
         if self.ppn is not None:
             parts.append(f"ppn{self.ppn}")
-        if self.seed is not None:
-            parts.append(f"seed{self.seed}")
-        if self.observe:
-            parts.append("obs" if self.observe is True else "obs-tl")
-        if self.faults is not None and not self.faults.empty:
+        if config.seed != type(config).seed:
+            parts.append(f"seed{config.seed}")
+        if config.observe:
+            parts.append("obs" if config.observe is True else "obs-tl")
+        if config.faults is not None and not config.faults.empty:
             parts.append("faults")
-        if self.check is not None:
+        if config.check is not None:
             parts.append("check")
         if self.cost_overrides:
             parts.append("co")
-        if self.macro:
+        if config.macro:
             parts.append("macro")
         return "-".join(parts)
 
     @property
     def identity(self) -> str:
-        """Collision-free identity string (see :func:`spec_identity`):
-        the derived descriptive form — ``label`` never shadows it —
-        plus a short content-hash suffix covering every semantic field,
-        including ``faults`` and ``cost_overrides``."""
+        """Collision-free identity string (see :func:`spec_identity`)."""
         return spec_identity(self)
 
 
@@ -230,7 +190,8 @@ def _custom_cluster(testbed: str, npes: int, ppn: int,
 def _cluster_for(spec: JobSpec):
     from ..cluster import cluster_a, cluster_b
 
-    ppn = spec.ppn if spec.ppn is not None else default_ppn(spec.testbed)
+    ppn = spec.ppn if spec.ppn is not None else (
+        8 if spec.testbed == "A" else 16)
     if spec.cost_overrides:
         return _custom_cluster(spec.testbed, spec.npes, ppn,
                                spec.cost_overrides)
@@ -246,18 +207,7 @@ def execute(spec: JobSpec) -> Any:
     """
     from ..core import Job
 
-    config = spec.config
-    if spec.seed is not None:
-        config = config.evolve(seed=spec.seed)
-    job = Job(
-        npes=spec.npes,
-        config=config,
-        cluster=_cluster_for(spec),
-        faults=spec.faults,
-        observe=spec.observe or None,
-        check=spec.check,
-        macro=spec.macro or None,
-    )
+    job = Job(spec.npes, config=spec.config, cluster=_cluster_for(spec))
     try:
         return job.run(spec.app)
     finally:

@@ -3,11 +3,11 @@
 Split into declarative plans (:mod:`repro.faults.plan`) and their
 runtime evaluation (:mod:`repro.faults.injector`)::
 
-    from repro.core import Job
+    from repro.core import Job, RuntimeConfig
     from repro.faults import FaultPlan, UDFault
 
     plan = FaultPlan(name="lossy", ud=(UDFault("drop", prob=0.2),))
-    Job(npes=64, faults=plan).run(app)
+    Job(npes=64, config=RuntimeConfig.proposed(faults=plan)).run(app)
 
 Every decision draws from named sub-streams of the job's master seed,
 so a (plan, seed) pair replays byte-identically — the chaos matrix in

@@ -12,7 +12,8 @@ pair — so
 The injector is passive: the substrates consult it at their hook
 points (``Fabric.transmit``, ``HCA.try_alloc_rc_context``,
 ``Daemon.occupy``) and it answers "what happens to this operation".
-Attach it with :meth:`install`, or let ``Job(faults=plan)`` do so.
+Attach it with :meth:`install`, or let ``Job`` do so for
+``RuntimeConfig(faults=plan)``.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class FaultInjector:
         self.sim = sim
         self.rng = rng
         self.counters = counters
-        #: Flight recorder (installed by ``Job(observe=True)``); fault
-        #: hits become instant spans on the "faults" track.
+        #: Flight recorder (installed by ``Job`` if ``config.observe``);
+        #: fault hits become instant spans on the "faults" track.
         self.obs = None
         #: Per-UD-rule firing counts (first_n budgets).
         self._ud_fired: List[int] = [0] * len(plan.ud)

@@ -126,10 +126,10 @@ class ConduitNetwork:
         #: determinism tests.
         self.tracer: Optional[Tracer] = None
         #: Flight recorder (repro.obs.Observability) shared by every
-        #: conduit; installed by ``Job(observe=True)``, else None.
+        #: conduit; installed by ``Job`` if ``config.observe``, else None.
         self.obs = None
         #: Invariant sanitizer shared by every conduit; installed by
-        #: ``Job(check=...)``, else None.
+        #: ``Job`` if ``config.check``, else None.
         self.check = None
 
     def register(self, conduit: "Conduit") -> None:

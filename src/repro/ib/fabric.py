@@ -48,9 +48,9 @@ class Fabric:
         self.counters = counters
         self._loss_rng = rng.stream("fabric.ud-loss")
         self._hcas: Dict[int, "HCA"] = {}  # lid -> HCA
-        #: Optional fault injector (installed by ``Job(faults=...)``).
+        #: Optional fault injector (installed by ``Job`` if ``config.faults``).
         self.faults: Optional["FaultInjector"] = None
-        #: Flight recorder (installed by ``Job(observe=True)``).
+        #: Flight recorder (installed by ``Job`` if ``config.observe``).
         self.obs = None
 
     def attach(self, hca: "HCA") -> None:

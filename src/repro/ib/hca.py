@@ -83,11 +83,11 @@ class HCA:
         #: rkeys whose region was deregistered (distinguishes a revoked
         #: handle from one that never existed when NAKing).
         self._revoked_rkeys: Dict[int, None] = {}
-        #: Optional fault injector (installed by ``Job(faults=...)``).
+        #: Optional fault injector (installed by ``Job`` if ``config.faults``).
         self.faults: Optional["FaultInjector"] = None
-        #: Flight recorder (installed by ``Job(observe=True)``).
+        #: Flight recorder (installed by ``Job`` if ``config.observe``).
         self.obs = None
-        #: Invariant sanitizer (installed by ``Job(check=...)``).
+        #: Invariant sanitizer (installed by ``Job`` if ``config.check``).
         self.check = None
         fabric.attach(self)
 

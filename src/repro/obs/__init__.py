@@ -11,8 +11,8 @@ Job` aggregates the two recording surfaces:
   counters/gauges/histograms, which also subsumes the legacy flat
   ``Counters`` via :meth:`Observability.counters_facade`.
 
-Layers hold a plain ``obs`` attribute that is ``None`` unless the job
-was built with ``observe=True`` — instrumentation sites cost exactly
+Layers hold a plain ``obs`` attribute that is ``None`` unless the job's
+config sets ``observe=True`` — instrumentation sites cost exactly
 one predicate check when observation is off (the ``KernelProfile.
 _prof`` discipline), which is what keeps the golden traces and the
 wall-clock bench untouched by this module's existence.

@@ -31,6 +31,7 @@ from ..apps.heat2d import Heat2D
 from ..apps.hello import HelloWorld
 from ..cluster import cluster_a, cluster_b
 from ..core import Job, RuntimeConfig
+from ..errors import ConfigError
 from .diff import diff_snapshots, format_diff, load_snapshot
 from .export import prometheus_text, timeline_csv, validate_chrome_trace
 
@@ -133,7 +134,8 @@ def _run_main(argv: List[str]) -> int:
         observe = {"timeline": tl_opts or True}
     else:
         observe = True
-    job = Job(npes=args.npes, config=config, cluster=cluster, observe=observe)
+    job = Job(npes=args.npes, config=config.evolve(observe=observe),
+              cluster=cluster)
     result = job.run(_APPS[args.app]())
 
     trace = job.obs.chrome_trace(
@@ -240,7 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if argv and argv[0] == "diff":
             return _diff_main(argv[1:])
         return _run_main(list(argv))
-    except CliError as exc:
+    except (CliError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,10 +10,11 @@ first RC delivery — reconstructs as a single causal tree.
 Instant happenings (a QP state transition, a dropped datagram) are
 zero-duration spans created with :meth:`SpanTracer.event`.
 
-The tracer exists only when observation is enabled (``Job(observe=
-True)``); instrumented layers hold ``obs = None`` otherwise, so the
-hot-path cost of the whole facility is one predicate check — the same
-discipline as ``Simulator._prof`` and the protocol :class:`Tracer`.
+The tracer exists only when observation is enabled
+(``RuntimeConfig(observe=True)``); instrumented layers hold ``obs =
+None`` otherwise, so the hot-path cost of the whole facility is one
+predicate check — the same discipline as ``Simulator._prof`` and the
+protocol :class:`Tracer`.
 
 Parent links accept either a :class:`Span` or a raw ``span_id`` int:
 the handshake messages carry the integer across the wire (it is

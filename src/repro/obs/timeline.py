@@ -33,9 +33,8 @@ golden trace is byte-identical with the sampler on (pinned by
   drains; one orphaned tick may fire after the stop and does nothing.
 
 ``parse_observe`` / ``canonical_observe`` also live here: they define
-how ``Job(observe=...)`` / ``RuntimeConfig.observe`` / ``JobSpec.
-observe`` accept ``bool | dict | TimelineConfig`` uniformly (e.g.
-``observe={"timeline": True}``).
+how ``RuntimeConfig.observe`` accepts ``bool | dict | TimelineConfig``
+(e.g. ``observe={"timeline": True}``).
 """
 
 from __future__ import annotations

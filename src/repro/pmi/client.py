@@ -50,7 +50,7 @@ class PMIClient:
         self._iag_epoch = 0
         self._ring_epoch = 0
         self._staged_since_fence = 0
-        #: Flight recorder (installed by ``Job(observe=True)``).
+        #: Flight recorder (installed by ``Job`` if ``config.observe``).
         self.obs = None
 
     # ------------------------------------------------------------------

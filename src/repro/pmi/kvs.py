@@ -24,7 +24,7 @@ class KeyValueStore:
         #: Single-slot memo for :meth:`get_range` (see below).
         self._range_key: Optional[tuple] = None
         self._range_values: Optional[List[Any]] = None
-        #: Invariant sanitizer (installed by ``Job(check=...)``).
+        #: Invariant sanitizer (installed by ``Job`` if ``config.check``).
         self.check = None
 
     def commit(self, staged: Dict[str, Any]) -> None:

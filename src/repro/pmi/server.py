@@ -142,11 +142,11 @@ class PMIDomain:
         self.counters = counters
         self.fanout = max(2, cluster.cost.pmi_tree_fanout)
         self.nnodes = cluster.nnodes
-        #: Optional fault injector (installed by ``Job(faults=...)``).
+        #: Optional fault injector (installed by ``Job`` if ``config.faults``).
         self.faults: Optional["FaultInjector"] = None
-        #: Flight recorder (installed by ``Job(observe=True)``).
+        #: Flight recorder (installed by ``Job`` if ``config.observe``).
         self.obs = None
-        #: Invariant sanitizer (installed by ``Job(check=...)``).
+        #: Invariant sanitizer (installed by ``Job`` if ``config.check``).
         self.check = None
         self.kvs = KeyValueStore()
         self.daemons = [

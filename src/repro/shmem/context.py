@@ -54,7 +54,7 @@ class ShmemContext:
         #: Flight recorder (repro.obs.Observability); the Job installs
         #: it when observing, None otherwise (one predicate per site).
         self.obs = None
-        #: Invariant sanitizer (installed by ``Job(check=...)``).
+        #: Invariant sanitizer (installed by ``Job`` if ``config.check``).
         self.check = None
         self.initialized = False
         self.finalized = False

@@ -1,10 +1,9 @@
 """Macro phase models for ``start_pes`` (the analytical phase layer).
 
 :func:`run_macro_job` is the orchestrator behind
-``Job(macro=True)`` / ``RuntimeConfig.macro_phases``: it reproduces one
-job's startup metrics without stepping a per-PE protocol coroutine
-swarm.  Two strategies, matched to the two design corners the macro
-layer supports:
+``RuntimeConfig(macro=True)``: it reproduces one job's startup metrics
+without stepping a per-PE protocol coroutine swarm.  Two strategies,
+matched to the two design corners the macro layer supports:
 
 * **On-demand (the paper's proposed design)** — every startup phase is
   homogeneous and data-independent: endpoint creation, the
@@ -69,40 +68,23 @@ from .context import COLL_HANDLER
 from .heap import SymmetricHeap
 from .startup import PHASE_CONN, PHASE_MEMREG, PHASE_OTHER, PHASE_PMI, PHASE_SHM
 
-__all__ = ["run_macro_job", "supported_corner"]
-
-
-def supported_corner(config) -> str:
-    """Validate that ``config`` is one of the two design corners the
-    macro layer models; return ``"ondemand"`` or ``"static"``."""
-    axes = (config.connection_mode, config.pmi_mode, config.barrier_mode)
-    if axes == ("ondemand", "nonblocking", "intranode"):
-        if not config.piggyback_segments:
-            raise ConfigError(
-                "macro_phases does not model the D1 ablation "
-                "(piggyback_segments=False); use the exact engine"
-            )
-        return "ondemand"
-    if axes == ("static", "blocking", "global"):
-        return "static"
-    raise ConfigError(
-        "macro_phases models the paper's two design corners only "
-        "(static+blocking+global or ondemand+nonblocking+intranode), "
-        f"not {config.label!r}; use the exact engine for ablations"
-    )
+__all__ = ["run_macro_job"]
 
 
 def run_macro_job(app, npes: int, config, cluster: Cluster,
                   scheduler: str = "calendar") -> MacroRunResult:
-    """Reproduce one job's metrics through the macro phase models."""
+    """Reproduce one job's metrics through the macro phase models.
+
+    ``config`` is one of the two design corners: ``RuntimeConfig``
+    refuses ``macro=True`` anywhere else when it is built.
+    """
     profile = getattr(app, "macro_profile", None)
     if profile is None:
         raise ConfigError(
-            f"macro_phases requires an app with a macro_profile() "
+            f"macro mode requires an app with a macro_profile() "
             f"(closed-form per-rank cost); {type(app).__name__} has none"
         )
-    corner = supported_corner(config)
-    if corner == "ondemand":
+    if config.connection_mode == "ondemand":
         return _ondemand_macro(app, npes, config, cluster)
     return _static_macro(app, npes, config, cluster, scheduler)
 

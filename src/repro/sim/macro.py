@@ -1,8 +1,8 @@
 """Analytical phase-model (macro) support: kernel-side containers.
 
-The macro layer (``RuntimeConfig.macro_phases`` / ``Job(macro=True)``)
-replaces the per-PE generator swarms of *homogeneous, data-independent*
-startup phases with closed-form cost curves evaluated directly from the
+The macro layer (``RuntimeConfig(macro=True)``) replaces the per-PE
+generator swarms of *homogeneous, data-independent* startup phases with
+closed-form cost curves evaluated directly from the
 :class:`~repro.cluster.params.CostModel`.  The per-layer model providers
 live next to the code they model:
 

@@ -1,10 +1,10 @@
 """Job-level sanitizer wiring: report shape, and byte-identity.
 
-The headline guarantee of ``Job(check=...)``: auditing is observation,
-never perturbation.  A sanitized run reaches the same simulated wall
-time with the same counters as an unsanitized one — on the current
-(static) and proposed (on-demand) configurations, under fault
-injection, and on the 128-PE golden startup trace.
+The headline guarantee of ``RuntimeConfig(check=...)``: auditing is
+observation, never perturbation.  A sanitized run reaches the same
+simulated wall time with the same counters as an unsanitized one — on
+the current (static) and proposed (on-demand) configurations, under
+fault injection, and on the 128-PE golden startup trace.
 """
 
 import os
@@ -22,8 +22,8 @@ from ..sim.test_golden_trace import FIXTURE
 
 
 def _run(config, check, npes=16, app=None):
-    job = Job(npes=npes, config=config, cluster=cluster_a(npes, ppn=8),
-              check=check)
+    job = Job(npes=npes, config=config.evolve(check=check),
+              cluster=cluster_a(npes, ppn=8))
     return job.run(app if app is not None else HelloWorld())
 
 
@@ -49,8 +49,8 @@ class TestReportShape:
     def test_empty_plan_never_installs(self):
         plan = CheckPlan(name="nothing", ib=False, memory=False,
                          pmi=False, conduit=False, lifecycle=False)
-        job = Job(npes=4, config=RuntimeConfig.proposed(),
-                  cluster=cluster_a(4, ppn=4), check=plan)
+        job = Job(npes=4, config=RuntimeConfig.proposed(check=plan),
+                  cluster=cluster_a(4, ppn=4))
         assert job.sanitizer is None  # zero hooks armed, zero cost
         assert job.run(HelloWorld()).check is None
 
@@ -81,8 +81,9 @@ class TestByteIdentity:
 
         def spec(check):
             return JobSpec(
-                app=HelloWorld(), npes=16, config=RuntimeConfig.proposed(),
-                testbed="A", ppn=8, faults=plan, check=check,
+                app=HelloWorld(), npes=16,
+                config=RuntimeConfig.proposed(faults=plan, check=check),
+                testbed="A", ppn=8,
             )
 
         base = execute(spec(check=None))
@@ -103,10 +104,9 @@ def test_golden_trace_unchanged_under_sanitizer():
     timestamp — and a clean audit."""
     job = Job(
         npes=128,
-        config=RuntimeConfig.proposed(),
+        config=RuntimeConfig.proposed(check=CheckPlan(name="golden")),
         cluster=cluster_b(128, ppn=16),
         trace=True,
-        check=CheckPlan(name="golden"),
     )
     res = job.run(HelloWorld())
     got = job.tracer.formatted()

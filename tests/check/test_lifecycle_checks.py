@@ -109,9 +109,8 @@ class TestStrictChurnJob:
                                  scan_interval_us=5_000.0)
         job = Job(
             npes=16,
-            config=RuntimeConfig.proposed(lifecycle=policy),
+            config=RuntimeConfig.proposed(lifecycle=policy, check=True),
             cluster=cluster_a(16, ppn=4),
-            check=True,
         )
         res = job.run(app)
         assert res.check is not None

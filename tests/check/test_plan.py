@@ -77,23 +77,12 @@ class TestRuntimeConfigWiring:
 class TestJobSpecWiring:
     def test_true_becomes_default_plan_and_tags_key(self):
         spec = JobSpec(app=HelloWorld(), npes=4,
-                       config=RuntimeConfig.proposed(), check=True)
-        assert spec.check == CheckPlan()
+                       config=RuntimeConfig.proposed(check=True))
+        assert spec.config.check == CheckPlan()
         assert spec.key.endswith("check")
 
     def test_false_becomes_none(self):
         spec = JobSpec(app=HelloWorld(), npes=4,
-                       config=RuntimeConfig.proposed(), check=False)
-        assert spec.check is None
+                       config=RuntimeConfig.proposed(check=False))
+        assert spec.config.check is None
         assert "check" not in spec.key
-
-    def test_dict_is_parsed(self):
-        spec = JobSpec(app=HelloWorld(), npes=4,
-                       config=RuntimeConfig.proposed(),
-                       check={"strict": False})
-        assert spec.check == CheckPlan(strict=False)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ConfigError):
-            JobSpec(app=HelloWorld(), npes=4,
-                    config=RuntimeConfig.proposed(), check="all")

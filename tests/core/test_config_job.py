@@ -3,9 +3,13 @@
 import pytest
 
 from repro.apps import HelloWorld
+from repro.check import CheckPlan
 from repro.cluster import cluster_a
 from repro.core import Job, RuntimeConfig
 from repro.errors import ConfigError
+from repro.faults import FaultPlan, UDFault
+from repro.gasnet import LifecyclePolicy
+from repro.obs.timeline import TimelineConfig
 
 
 class TestRuntimeConfig:
@@ -20,16 +24,38 @@ class TestRuntimeConfig:
         )
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            RuntimeConfig(connection_mode="lazy")
-        with pytest.raises(ConfigError):
-            RuntimeConfig(pmi_mode="sometimes")
-        with pytest.raises(ConfigError):
-            RuntimeConfig(barrier_mode="none")
-        with pytest.raises(ConfigError):
-            RuntimeConfig(heap_mb=0)
-        with pytest.raises(ConfigError):
-            RuntimeConfig(heap_backing_kb=0)
+        for bad in (
+            {"connection_mode": "lazy"},
+            {"pmi_mode": "sometimes"},
+            {"barrier_mode": "none"},
+            {"heap_mb": 0},
+            {"heap_mb": float("nan")},
+            {"heap_mb": float("inf")},
+            {"heap_backing_kb": 0},
+            {"seed": -1},
+            {"seed": "x"},
+            {"seed": True},
+            {"piggyback_segments": "no"},
+        ):
+            with pytest.raises(ConfigError) as err:
+                RuntimeConfig(**bad)
+            assert "\n" not in str(err.value), bad
+
+    def test_equivalent_spellings_compare_equal(self):
+        # RuntimeConfig coerces each option when it is built, so two
+        # spellings of one run are one config (and one spec hash).
+        proposed = RuntimeConfig.proposed
+        assert proposed(check=True) == proposed(check=CheckPlan())
+        assert proposed(check={"strict": False}) == proposed(
+            check=CheckPlan(strict=False))
+        assert proposed(observe={"timeline": True}) == proposed(
+            observe={"timeline": TimelineConfig()})
+        assert proposed(observe={"timeline": {"interval_us": 500.0}}) == (
+            proposed(observe={"timeline": TimelineConfig(interval_us=500.0)}))
+        assert proposed(faults={"ud": [{"action": "drop", "prob": 0.1}]}) == (
+            proposed(faults=FaultPlan(ud=(UDFault("drop", prob=0.1),))))
+        assert proposed(lifecycle={"policy": "lru"}) == proposed(
+            lifecycle=LifecyclePolicy(policy="lru"))
 
     def test_evolve_keeps_validation(self):
         with pytest.raises(ConfigError):

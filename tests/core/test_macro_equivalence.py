@@ -1,10 +1,10 @@
 """Macro-vs-exact equivalence: the analytical phase layer's contract.
 
-``Job(macro=True)`` replaces the per-PE generator swarm with closed
-forms (on-demand corner) or a condensed replica (static corner).  The
-contract — ISSUE 9's acceptance bar — is that for both design corners,
-at 128 and 512 PEs, on both cluster presets and both schedulers, the
-macro layer reproduces the exact DES's:
+``RuntimeConfig(macro=True)`` replaces the per-PE generator swarm with
+closed forms (on-demand corner) or a condensed replica (static corner).
+The contract is that for both design corners, at 128 and 512 PEs, on
+both cluster presets and both schedulers, the macro layer reproduces
+the exact DES's:
 
 * ``StartupReport`` (per-phase means and totals) — bit for bit;
 * ``app_done_us`` and per-PE ``app_results``;
@@ -66,10 +66,9 @@ def _run(npes, testbed, corner, scheduler, macro):
     if key not in _cache:
         job = Job(
             npes=npes,
-            config=CONFIGS[corner](),
+            config=CONFIGS[corner](macro=macro),
             cluster=CLUSTERS[testbed](npes),
             scheduler=scheduler,
-            macro=macro,
         )
         _cache[key] = job.run(HelloWorld())
     return _cache[key]
@@ -109,18 +108,13 @@ def test_macro_matches_exact(npes, corner, testbed, scheduler):
 
 @pytest.mark.parametrize("corner", ["ondemand", "static"])
 def test_macro_via_config_flag(corner):
-    """``RuntimeConfig.macro_phases`` is the config-driven spelling."""
-    config = CONFIGS[corner](macro_phases=True)
+    """Either preset evolved with ``macro=True`` runs the macro layer."""
+    config = CONFIGS[corner]().evolve(macro=True)
     job = Job(npes=128, config=config, cluster=cluster_b(128))
+    assert job.macro is True and job.sim is None
     result = job.run(HelloWorld())
     assert result.macro is True
     assert result.startup == _run(128, "B", corner, "calendar", False).startup
-
-
-def test_macro_arg_overrides_config_flag():
-    config = RuntimeConfig.proposed(macro_phases=True)
-    job = Job(npes=8, config=config, cluster=cluster_b(8), macro=False)
-    assert job.macro is False and job.sim is not None
 
 
 def test_golden_trace_byte_identical_with_macro_off():
@@ -128,8 +122,8 @@ def test_golden_trace_byte_identical_with_macro_off():
     trace is untouched — the macro layer is invisible unless asked for.
     A macro job runs first in the same process to catch global-state
     leaks (rng, counters, gc tuning)."""
-    Job(npes=128, config=RuntimeConfig.proposed(),
-        cluster=cluster_b(128, ppn=16), macro=True).run(HelloWorld())
+    Job(npes=128, config=RuntimeConfig.proposed(macro=True),
+        cluster=cluster_b(128, ppn=16)).run(HelloWorld())
     job = Job(npes=128, config=RuntimeConfig.proposed(),
               cluster=cluster_b(128, ppn=16), trace=True)
     job.run(HelloWorld())
@@ -141,47 +135,45 @@ def test_golden_trace_byte_identical_with_macro_off():
 
 
 # ----------------------------------------------------------------------
-# guard rails: what macro mode refuses to pretend it can do
+# guard rails: what macro mode refuses to pretend it can do.  Every
+# option but trace lives on RuntimeConfig, so the refusal comes when
+# the config is built, before any Job exists.
 # ----------------------------------------------------------------------
-def _macro_job(**kwargs):
-    return Job(npes=8, config=kwargs.pop("config", RuntimeConfig.proposed()),
-               cluster=cluster_b(8), macro=True, **kwargs)
-
-
 def test_macro_rejects_trace():
     with pytest.raises(ConfigError, match="trace"):
-        _macro_job(trace=True)
+        Job(npes=8, config=RuntimeConfig.proposed(macro=True),
+            cluster=cluster_b(8), trace=True)
 
 
 def test_macro_rejects_faults():
     plan = FaultPlan(ud=(UDFault("drop", prob=0.1),))
     with pytest.raises(ConfigError, match="fault"):
-        _macro_job(faults=plan)
+        RuntimeConfig.proposed(macro=True, faults=plan)
 
 
 def test_macro_rejects_observe():
     with pytest.raises(ConfigError, match="flight recorder"):
-        _macro_job(observe=True)
+        RuntimeConfig.proposed(macro=True, observe=True)
 
 
 def test_macro_rejects_check():
     with pytest.raises(ConfigError, match="sanitizer"):
-        _macro_job(check=True)
+        RuntimeConfig.proposed(macro=True, check=True)
 
 
 def test_macro_rejects_lifecycle():
-    config = RuntimeConfig.proposed(lifecycle=LifecyclePolicy(enabled=True))
     with pytest.raises(ConfigError, match="lifecycle"):
-        _macro_job(config=config)
+        RuntimeConfig.proposed(
+            macro=True, lifecycle=LifecyclePolicy(enabled=True))
 
 
 def test_macro_rejects_ablation_corners():
     # D1: piggybacking off is an ablation, not a design corner.
     with pytest.raises(ConfigError, match="D1"):
-        _macro_job(config=RuntimeConfig.proposed(piggyback_segments=False))
+        RuntimeConfig.proposed(macro=True, piggyback_segments=False)
     # A mixed-axis ablation (on-demand connections, blocking PMI).
     with pytest.raises(ConfigError, match="design corners"):
-        _macro_job(config=RuntimeConfig.proposed(pmi_mode="blocking"))
+        RuntimeConfig.proposed(macro=True, pmi_mode="blocking")
 
 
 def test_macro_requires_macro_profile():
@@ -189,5 +181,7 @@ def test_macro_requires_macro_profile():
         def run(self, pe):
             yield 0.0
 
+    job = Job(npes=8, config=RuntimeConfig.proposed(macro=True),
+              cluster=cluster_b(8))
     with pytest.raises(ConfigError, match="macro_profile"):
-        _macro_job().run(NoProfile())
+        job.run(NoProfile())

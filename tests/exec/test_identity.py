@@ -1,19 +1,18 @@
-"""Canonical JobSpec identity: aliasing matrix, distinctness, bugfixes.
+"""Canonical JobSpec identity: distinctness and bugfix regressions.
 
-Three families of property:
+Two families of property:
 
-* **Aliasing** — trivially different spellings of the *same effective
-  run* must share a content hash (dict vs pre-sorted tuple overrides,
-  ``check=True`` vs ``CheckPlan()``, ``observe={"timeline": True}`` vs
-  an explicit ``TimelineConfig``, spec seed vs config seed, explicit
-  default ppn vs ``ppn=None``, empty plans vs absent plans, and any
-  ``label``).
 * **Distinctness** — two specs differing in *any* semantic field must
   never share a hash; this pins the historical ``key`` bugs where
   ``faults`` and ``cost_overrides`` silently vanished from identity.
 * **Bugfix regressions** — ``SweepError`` names specs collision-free,
   and unhashable ``cost_overrides`` values fail at construction with a
   one-line ``ConfigError`` instead of a deep ``lru_cache`` TypeError.
+
+Spellings of one option that mean the same run (``check=True`` vs
+``CheckPlan()``, an ``observe`` dict vs ``TimelineConfig``) are
+coerced by ``RuntimeConfig`` when it is built, so they compare equal
+before any hash is taken (see ``tests/core/test_config_job.py``).
 """
 
 import pickle
@@ -21,14 +20,14 @@ import pickle
 import pytest
 
 from repro.apps import HelloWorld, NasEP
-from repro.check import CheckPlan
 from repro.core import RuntimeConfig
 from repro.errors import ConfigError
-from repro.exec import (JobSpec, SweepError, canonical_json, canonical_spec,
-                        execute, run_sweep, spec_hash, spec_identity)
+from repro.exec import (JobSpec, SweepError, canonical_json, run_sweep,
+                        spec_hash, spec_identity)
 from repro.faults import FaultPlan, UDFault
 from repro.gasnet import LifecyclePolicy
-from repro.obs.timeline import TimelineConfig
+
+LOSSY = FaultPlan(name="loss", ud=(UDFault("drop", prob=0.1),))
 
 
 def _spec(**kw):
@@ -39,91 +38,6 @@ def _spec(**kw):
 
 
 # ----------------------------------------------------------------------
-# aliasing: same effective run, same hash
-# ----------------------------------------------------------------------
-class TestAliasing:
-    def test_label_is_not_hashed(self):
-        assert spec_hash(_spec(label="run-A")) == spec_hash(
-            _spec(label="totally-different"))
-        assert spec_hash(_spec(label="run-A")) == spec_hash(_spec())
-
-    def test_dict_and_sorted_tuple_overrides_alias(self):
-        as_dict = _spec(cost_overrides={"qp_cache_entries": 8,
-                                        "poll_cq_us": 0.2})
-        as_tuple = _spec(cost_overrides=(("poll_cq_us", 0.2),
-                                         ("qp_cache_entries", 8)))
-        assert spec_hash(as_dict) == spec_hash(as_tuple)
-
-    def test_int_and_float_override_values_alias_like_json(self):
-        # json canonicalisation: 8 and 8.0 are distinct (int vs float),
-        # but 0.2 spelled twice is identical.
-        a = _spec(cost_overrides={"poll_cq_us": 0.2})
-        b = _spec(cost_overrides=(("poll_cq_us", 0.2),))
-        assert spec_hash(a) == spec_hash(b)
-
-    def test_check_true_aliases_default_plan(self):
-        assert spec_hash(_spec(check=True)) == spec_hash(
-            _spec(check=CheckPlan()))
-
-    def test_check_in_config_aliases_check_on_spec(self):
-        on_spec = _spec(check=CheckPlan())
-        in_config = _spec(config=RuntimeConfig.proposed(check=CheckPlan()))
-        assert spec_hash(on_spec) == spec_hash(in_config)
-
-    def test_observe_dict_aliases_timeline_config(self):
-        as_dict = _spec(observe={"timeline": True})
-        as_config = _spec(observe={"timeline": TimelineConfig()})
-        assert spec_hash(as_dict) == spec_hash(as_config)
-
-    def test_observe_interval_dict_aliases_explicit_config(self):
-        as_dict = _spec(observe={"timeline": {"interval_us": 500.0}})
-        as_config = _spec(
-            observe={"timeline": TimelineConfig(interval_us=500.0)})
-        assert spec_hash(as_dict) == spec_hash(as_config)
-
-    def test_spec_seed_aliases_config_seed(self):
-        via_spec = _spec(seed=7)
-        via_config = _spec(config=RuntimeConfig.proposed(seed=7))
-        assert spec_hash(via_spec) == spec_hash(via_config)
-
-    def test_none_ppn_aliases_testbed_default(self):
-        assert spec_hash(_spec(testbed="A", ppn=None)) == spec_hash(
-            _spec(testbed="A", ppn=8))
-        assert spec_hash(_spec(testbed="B", ppn=None)) == spec_hash(
-            _spec(testbed="B", ppn=16))
-
-    def test_empty_fault_plan_aliases_absent(self):
-        assert spec_hash(_spec(faults=FaultPlan(name="noop"))) == spec_hash(
-            _spec(faults=None))
-
-    def test_empty_overrides_alias_absent(self):
-        assert spec_hash(_spec(cost_overrides={})) == spec_hash(
-            _spec(cost_overrides=None))
-
-    def test_disabled_lifecycle_aliases_absent(self):
-        enabled_off = RuntimeConfig.proposed(
-            lifecycle=LifecyclePolicy(enabled=False))
-        assert spec_hash(_spec(config=enabled_off)) == spec_hash(
-            _spec(config=RuntimeConfig.proposed()))
-
-    def test_lifecycle_under_static_mode_aliases_absent(self):
-        static = RuntimeConfig.current()
-        static_with = RuntimeConfig.current(lifecycle=LifecyclePolicy())
-        assert static.connection_mode == "static"
-        assert spec_hash(_spec(config=static_with)) == spec_hash(
-            _spec(config=static))
-
-    def test_aliased_specs_produce_equal_results(self):
-        # The folding rules are only sound if the aliased spellings
-        # really do run identically; spot-check one non-trivial pair.
-        via_spec = _spec(npes=4, ppn=2, seed=7)
-        via_config = _spec(npes=4, ppn=2,
-                           config=RuntimeConfig.proposed(seed=7))
-        assert spec_hash(via_spec) == spec_hash(via_config)
-        assert execute(via_spec) == execute(via_config)
-
-
-# ----------------------------------------------------------------------
 # distinctness: any semantic difference, different hash
 # ----------------------------------------------------------------------
 class TestDistinctness:
@@ -131,8 +45,7 @@ class TestDistinctness:
         # The regression ISSUE names: two specs differing ONLY in
         # faults must never share an identity.
         plain = _spec()
-        lossy = _spec(faults=FaultPlan(name="loss",
-                                       ud=(UDFault("drop", prob=0.1),)))
+        lossy = _spec(config=RuntimeConfig.proposed(faults=LOSSY))
         assert spec_hash(plain) != spec_hash(lossy)
         assert spec_identity(plain) != spec_identity(lossy)
 
@@ -147,15 +60,16 @@ class TestDistinctness:
             _spec(config=RuntimeConfig.current()),
             _spec(testbed="B"),
             _spec(ppn=4),
-            _spec(seed=99),
-            _spec(observe=True),
-            _spec(observe={"timeline": True}),
-            _spec(faults=FaultPlan(name="loss",
-                                   ud=(UDFault("drop", prob=0.1),))),
-            _spec(check=True),
+            _spec(config=RuntimeConfig.proposed(seed=99)),
+            _spec(config=RuntimeConfig.proposed(observe=True)),
+            _spec(config=RuntimeConfig.proposed(observe={"timeline": True})),
+            _spec(config=RuntimeConfig.proposed(faults=LOSSY)),
+            _spec(config=RuntimeConfig.proposed(check=True)),
+            _spec(config=RuntimeConfig.proposed(
+                lifecycle=LifecyclePolicy(policy="lru"))),
             _spec(cost_overrides={"qp_cache_entries": 8}),
             _spec(cost_overrides={"qp_cache_entries": 16}),
-            _spec(macro=True),
+            _spec(config=RuntimeConfig.proposed(macro=True)),
             _spec(app=NasEP()),
         ]
         hashes = [spec_hash(s) for s in variants]
@@ -164,10 +78,9 @@ class TestDistinctness:
         assert len(set(identities)) == len(variants)
 
     def test_fault_probability_changes_the_hash(self):
-        a = _spec(faults=FaultPlan(name="loss",
-                                   ud=(UDFault("drop", prob=0.1),)))
-        b = _spec(faults=FaultPlan(name="loss",
-                                   ud=(UDFault("drop", prob=0.2),)))
+        a = _spec(config=RuntimeConfig.proposed(faults=LOSSY))
+        b = _spec(config=RuntimeConfig.proposed(faults=FaultPlan(
+            name="loss", ud=(UDFault("drop", prob=0.2),))))
         assert spec_hash(a) != spec_hash(b)
 
     def test_app_params_change_the_hash(self):
@@ -180,17 +93,13 @@ class TestDistinctness:
 # ----------------------------------------------------------------------
 class TestCanonicalForm:
     def test_canonical_json_is_stable_and_sorted(self):
-        spec = _spec(seed=3, cost_overrides={"qp_cache_entries": 8})
+        spec = _spec(config=RuntimeConfig.proposed(seed=3),
+                     cost_overrides={"qp_cache_entries": 8})
         assert canonical_json(spec) == canonical_json(spec)
         assert canonical_json(spec).startswith('{"app":')
 
-    def test_canonical_spec_has_no_label(self):
-        canon = canonical_spec(_spec(label="secret-name"))
-        assert "secret-name" not in canonical_json(_spec(label="secret-name"))
-        assert "label" not in canon
-
     def test_hash_survives_pickling(self):
-        spec = _spec(seed=3, observe=True,
+        spec = _spec(config=RuntimeConfig.proposed(seed=3, observe=True),
                      cost_overrides={"qp_cache_entries": 8})
         assert spec_hash(pickle.loads(pickle.dumps(spec))) == spec_hash(spec)
 
@@ -208,23 +117,18 @@ class TestSweepErrorIdentity:
         pass
 
     def test_error_names_are_collision_free(self):
-        # Historically SweepError used spec.key, where label shadowed
-        # the derived identity — two different failing specs with the
-        # same label were indistinguishable in the error text.
-        lossy = FaultPlan(name="loss", ud=(UDFault("drop", prob=0.1),))
-        a = _spec(label="point")
-        b = _spec(label="point", faults=lossy)
+        # The descriptive key elides option details; the hash suffix
+        # keeps two failing specs that differ only in faults apart.
+        a = _spec()
+        b = _spec(config=RuntimeConfig.proposed(faults=LOSSY))
         err_a = SweepError(a, ValueError("x"))
         err_b = SweepError(b, ValueError("x"))
         assert str(err_a) != str(err_b)
-        # The label is still shown for the human...
-        assert "point" in str(err_a)
-        # ...but the collision-free identity is always present.
-        assert spec_identity(a).rsplit("#", 1)[1] in str(err_a)
-        assert spec_identity(b).rsplit("#", 1)[1] in str(err_b)
+        assert spec_identity(a) in str(err_a)
+        assert spec_identity(b) in str(err_b)
 
     def test_identity_property_matches_function(self):
-        spec = _spec(seed=5)
+        spec = _spec(config=RuntimeConfig.proposed(seed=5))
         assert spec.identity == spec_identity(spec)
 
 

@@ -53,17 +53,16 @@ class TestKey:
         assert "ppn16" in spec.key
 
     def test_seed_and_observe_show_up(self):
-        spec = _spec(seed=7, observe=True)
+        spec = _spec(config=RuntimeConfig.proposed(seed=7, observe=True))
         assert "seed7" in spec.key
         assert "obs" in spec.key
-
-    def test_label_wins(self):
-        assert _spec(label="my-point").key == "my-point"
+        assert "seed" not in _spec().key
 
 
 class TestPickling:
     def test_round_trip_equality(self):
-        spec = _spec(npes=16, testbed="B", seed=3, observe=True,
+        spec = _spec(npes=16, testbed="B",
+                     config=RuntimeConfig.proposed(seed=3, observe=True),
                      cost_overrides={"qp_cache_entries": 32})
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
@@ -78,7 +77,8 @@ class TestExecute:
 
     def test_seed_override_changes_the_run(self):
         base = execute(_spec(npes=4, ppn=2))
-        reseeded = execute(_spec(npes=4, ppn=2, seed=999))
+        reseeded = execute(_spec(npes=4, ppn=2,
+                                 config=RuntimeConfig.proposed(seed=999)))
         # Launch skew is drawn from the job RNG, so a different seed
         # moves the reported wall time.
         assert reseeded.wall_time_us != base.wall_time_us

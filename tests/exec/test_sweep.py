@@ -39,10 +39,10 @@ class Boom(Application):
             raise ValueError("kaboom")
 
 
-def _hello(npes, config=None, **kw):
+def _hello(npes, config=None):
     return JobSpec(app=HelloWorld(), npes=npes,
                    config=config or RuntimeConfig.proposed(),
-                   testbed="A", ppn=2, **kw)
+                   testbed="A", ppn=2)
 
 
 # ----------------------------------------------------------------------
@@ -156,8 +156,8 @@ def _grid():
     return [
         _hello(8, RuntimeConfig.current()),
         _hello(8, RuntimeConfig.proposed()),
-        _hello(8, RuntimeConfig.proposed(), faults=lossy),
-        _hello(8, RuntimeConfig.proposed(), observe=True),
+        _hello(8, RuntimeConfig.proposed(faults=lossy)),
+        _hello(8, RuntimeConfig.proposed(observe=True)),
     ]
 
 

@@ -88,18 +88,18 @@ class TestPlan:
 class TestConfigAndJobWiring:
     def test_runtime_config_coerces_dict(self):
         cfg = RuntimeConfig.proposed(
-            fault_plan={"name": "cfg", "ud": [{"action": "drop", "prob": 0.1}]}
+            faults={"name": "cfg", "ud": [{"action": "drop", "prob": 0.1}]}
         )
-        assert isinstance(cfg.fault_plan, FaultPlan)
-        assert cfg.fault_plan.name == "cfg"
+        assert isinstance(cfg.faults, FaultPlan)
+        assert cfg.faults.name == "cfg"
 
     def test_runtime_config_rejects_bad_type(self):
-        with pytest.raises(ConfigError, match="fault_plan"):
-            RuntimeConfig.proposed(fault_plan=42)
+        with pytest.raises(ConfigError, match="faults"):
+            RuntimeConfig.proposed(faults=42)
 
     def test_job_installs_injector_everywhere(self):
         plan = FaultPlan(ud=(UDFault("drop", prob=0.1),))
-        job = Job(npes=4, faults=plan)
+        job = Job(npes=4, config=RuntimeConfig.proposed(faults=plan))
         inj = job.fault_injector
         assert inj is not None and inj.plan is plan
         assert job.fabric.faults is inj
@@ -107,17 +107,17 @@ class TestConfigAndJobWiring:
         assert job.pmi_domain.faults is inj
 
     def test_job_skips_empty_plan(self):
-        job = Job(npes=4, faults=FaultPlan())
+        job = Job(npes=4, config=RuntimeConfig.proposed(faults=FaultPlan()))
         assert job.fault_injector is None
         assert job.fabric.faults is None
 
     def test_job_picks_up_config_plan(self):
         cfg = RuntimeConfig.proposed(
-            fault_plan={"ud": [{"action": "drop", "prob": 0.1}]}
+            faults={"ud": [{"action": "drop", "prob": 0.1}]}
         )
         job = Job(npes=4, config=cfg)
         assert job.fault_injector is not None
-        assert job.fault_injector.plan is cfg.fault_plan
+        assert job.fault_injector.plan is cfg.faults
 
 
 class TestKindValidation:

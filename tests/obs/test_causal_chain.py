@@ -19,9 +19,8 @@ from repro.obs import span_descendants, span_index, validate_chrome_trace
 def job():
     job = Job(
         npes=128,
-        config=RuntimeConfig.proposed(),
+        config=RuntimeConfig.proposed(observe=True),
         cluster=cluster_b(128, ppn=16),
-        observe=True,
     )
     job.run(HelloWorld())
     return job

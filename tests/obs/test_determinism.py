@@ -27,10 +27,8 @@ PLAN = FaultPlan(
 def _run(seed=13):
     job = Job(
         npes=16,
-        config=RuntimeConfig.proposed().evolve(seed=seed),
+        config=RuntimeConfig.proposed(seed=seed, faults=PLAN, observe=True),
         cluster=cluster_a(16, ppn=4),
-        faults=PLAN,
-        observe=True,
     )
     result = job.run(HelloWorld())
     return job, result

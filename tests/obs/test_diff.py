@@ -22,9 +22,9 @@ from repro.obs.__main__ import main as obs_main
 
 @pytest.fixture(scope="module")
 def telemetry():
-    job = Job(npes=8, config=RuntimeConfig.proposed(),
-              cluster=cluster_a(8, ppn=2),
-              observe={"timeline": {"interval_us": 2000.0}})
+    config = RuntimeConfig.proposed(
+        observe={"timeline": {"interval_us": 2000.0}})
+    job = Job(npes=8, config=config, cluster=cluster_a(8, ppn=2))
     return job.run(HelloWorld()).telemetry
 
 
@@ -176,6 +176,12 @@ class TestCli:
     def test_csv_requires_timeline(self, capsys):
         assert obs_main(["--npes", "4", "--csv", "x.csv"]) == 2
         assert "--csv requires --timeline" in capsys.readouterr().err
+
+    def test_bad_seed_one_line_error(self, capsys):
+        assert obs_main(["--npes", "4", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative int" in err
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_diff_output_flag_validated(self, tmp_path, capsys):
         path = tmp_path / "t.json"

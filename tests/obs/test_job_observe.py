@@ -10,12 +10,12 @@ from repro.obs import CountersBridge, Observability, series_peak
 from repro.sim import Counters
 
 
-def _job(observe=None, config=None, npes=8, ppn=2):
+def _job(observe=False, config=None, npes=8, ppn=2):
+    config = config or RuntimeConfig.proposed()
     return Job(
         npes=npes,
-        config=config or RuntimeConfig.proposed(),
+        config=config.evolve(observe=observe),
         cluster=cluster_a(npes, ppn=ppn),
-        observe=observe,
     )
 
 
@@ -37,13 +37,6 @@ def test_observe_true_installs_the_recorder_everywhere():
     assert all(h.obs is job.obs for h in job.hcas)
     assert all(c.obs is job.obs for c in job.pmi)
     assert all(p.obs is job.obs for p in job.pes)
-
-
-def test_config_observe_flag_and_arg_override():
-    cfg = RuntimeConfig.proposed().evolve(observe=True)
-    assert _job(config=cfg).obs is not None
-    # The explicit constructor argument wins over the config flag.
-    assert _job(observe=False, config=cfg).obs is None
 
 
 def test_telemetry_shape_and_expected_series():
@@ -109,9 +102,8 @@ def _churn_job(observe, npes=16):
     policy = LifecyclePolicy(policy="lru")
     return Job(
         npes=npes,
-        config=RuntimeConfig.proposed(lifecycle=policy),
+        config=RuntimeConfig.proposed(lifecycle=policy, observe=observe),
         cluster=cluster_a(npes, ppn=2),
-        observe=observe,
     )
 
 

@@ -61,7 +61,7 @@ GOLDEN = {
         lambda: ChurnWorkload(epochs=2),
     ),
     "golden_trace_faulted_64.txt": (
-        lambda: Job(64, RuntimeConfig.proposed(fault_plan=PLAN),
+        lambda: Job(64, RuntimeConfig.proposed(faults=PLAN),
                     cluster_b(64, ppn=16), trace=True),
         HelloWorld,
     ),
@@ -125,10 +125,9 @@ def test_trace_is_byte_identical_with_timeline_sampling(scheduler, observe):
     """
     job = Job(
         npes=128,
-        config=RuntimeConfig.proposed(),
+        config=RuntimeConfig.proposed(observe=observe),
         cluster=cluster_b(128, ppn=16),
         trace=True,
-        observe=observe,
         scheduler=scheduler,
     )
     result = job.run(HelloWorld())
