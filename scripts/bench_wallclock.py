@@ -82,8 +82,8 @@ def _startup(npes: int, mode: str = "proposed"):
 
 
 def _macro_startup(npes: int):
-    job = Job(npes=npes, config=RuntimeConfig.proposed(macro=True),
-              cluster=cluster_b(npes, ppn=32))
+    config = RuntimeConfig.proposed(macro=True)
+    job = Job(npes=npes, config=config, cluster=cluster_b(npes, ppn=32))
     return job, HelloWorld()
 
 

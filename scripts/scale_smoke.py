@@ -87,8 +87,8 @@ def macro_gate(npes: int, budget_s: float, rss_budget_mb: float) -> bool:
           f"(budget {budget_s:.0f}s / {rss_budget_mb:.0f}MB RSS) ...",
           flush=True)
     t0 = time.perf_counter()
-    job = Job(npes=npes, config=RuntimeConfig.proposed(macro=True),
-              cluster=cluster_b(npes, ppn=32))
+    config = RuntimeConfig.proposed(macro=True)
+    job = Job(npes=npes, config=config, cluster=cluster_b(npes, ppn=32))
     result = job.run(HelloWorld())
     wall = time.perf_counter() - t0
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -7,7 +7,8 @@ runtime evaluation (:mod:`repro.faults.injector`)::
     from repro.faults import FaultPlan, UDFault
 
     plan = FaultPlan(name="lossy", ud=(UDFault("drop", prob=0.2),))
-    Job(npes=64, config=RuntimeConfig.proposed(faults=plan)).run(app)
+    config = RuntimeConfig.proposed(faults=plan)
+    Job(npes=64, config=config).run(app)
 
 Every decision draws from named sub-streams of the job's master seed,
 so a (plan, seed) pair replays byte-identically — the chaos matrix in

@@ -134,8 +134,8 @@ def _run_main(argv: List[str]) -> int:
         observe = {"timeline": tl_opts or True}
     else:
         observe = True
-    job = Job(npes=args.npes, config=config.evolve(observe=observe),
-              cluster=cluster)
+    config = config.evolve(observe=observe)
+    job = Job(npes=args.npes, config=config, cluster=cluster)
     result = job.run(_APPS[args.app]())
 
     trace = job.obs.chrome_trace(

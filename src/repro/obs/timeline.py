@@ -69,7 +69,7 @@ __all__ = [
 @dataclass(frozen=True)
 class TimelineConfig:
     """Sampling parameters; frozen and hashable so it can live inside
-    ``RuntimeConfig`` and ``JobSpec`` (both frozen dataclasses)."""
+    the frozen ``RuntimeConfig``."""
 
     enabled: bool = True
     #: Simulated microseconds between samples.
@@ -147,8 +147,8 @@ def parse_observe(value: Any) -> Tuple[bool, Optional[TimelineConfig]]:
 
 def canonical_observe(value: Any) -> Any:
     """Canonical, hashable storage form: ``False`` / ``True`` /
-    :class:`TimelineConfig` (used by the frozen ``RuntimeConfig`` and
-    ``JobSpec`` so dict arguments never leak into hashable fields)."""
+    :class:`TimelineConfig` (used by the frozen ``RuntimeConfig`` so
+    dict arguments never leak into hashable fields)."""
     enabled, cfg = parse_observe(value)
     if not enabled:
         return False

@@ -22,8 +22,8 @@ from ..sim.test_golden_trace import FIXTURE
 
 
 def _run(config, check, npes=16, app=None):
-    job = Job(npes=npes, config=config.evolve(check=check),
-              cluster=cluster_a(npes, ppn=8))
+    config = config.evolve(check=check)
+    job = Job(npes=npes, config=config, cluster=cluster_a(npes, ppn=8))
     return job.run(app if app is not None else HelloWorld())
 
 
@@ -49,8 +49,8 @@ class TestReportShape:
     def test_empty_plan_never_installs(self):
         plan = CheckPlan(name="nothing", ib=False, memory=False,
                          pmi=False, conduit=False, lifecycle=False)
-        job = Job(npes=4, config=RuntimeConfig.proposed(check=plan),
-                  cluster=cluster_a(4, ppn=4))
+        config = RuntimeConfig.proposed(check=plan)
+        job = Job(npes=4, config=config, cluster=cluster_a(4, ppn=4))
         assert job.sanitizer is None  # zero hooks armed, zero cost
         assert job.run(HelloWorld()).check is None
 

@@ -43,6 +43,7 @@ CONFIGS = {
     "ondemand": RuntimeConfig.proposed,
     "static": RuntimeConfig.current,
 }
+MACRO = RuntimeConfig.proposed(macro=True)
 
 #: Startup-path counters that must match the exact engine exactly in
 #: *both* corners (the on-demand finalize counters are modeled, so the
@@ -122,8 +123,8 @@ def test_golden_trace_byte_identical_with_macro_off():
     trace is untouched — the macro layer is invisible unless asked for.
     A macro job runs first in the same process to catch global-state
     leaks (rng, counters, gc tuning)."""
-    Job(npes=128, config=RuntimeConfig.proposed(macro=True),
-        cluster=cluster_b(128, ppn=16)).run(HelloWorld())
+    Job(npes=128, config=MACRO, cluster=cluster_b(128, ppn=16)).run(
+        HelloWorld())
     job = Job(npes=128, config=RuntimeConfig.proposed(),
               cluster=cluster_b(128, ppn=16), trace=True)
     job.run(HelloWorld())
@@ -141,8 +142,7 @@ def test_golden_trace_byte_identical_with_macro_off():
 # ----------------------------------------------------------------------
 def test_macro_rejects_trace():
     with pytest.raises(ConfigError, match="trace"):
-        Job(npes=8, config=RuntimeConfig.proposed(macro=True),
-            cluster=cluster_b(8), trace=True)
+        Job(npes=8, config=MACRO, cluster=cluster_b(8), trace=True)
 
 
 def test_macro_rejects_faults():
@@ -181,7 +181,6 @@ def test_macro_requires_macro_profile():
         def run(self, pe):
             yield 0.0
 
-    job = Job(npes=8, config=RuntimeConfig.proposed(macro=True),
-              cluster=cluster_b(8))
+    job = Job(npes=8, config=MACRO, cluster=cluster_b(8))
     with pytest.raises(ConfigError, match="macro_profile"):
         job.run(NoProfile())

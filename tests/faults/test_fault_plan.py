@@ -99,7 +99,8 @@ class TestConfigAndJobWiring:
 
     def test_job_installs_injector_everywhere(self):
         plan = FaultPlan(ud=(UDFault("drop", prob=0.1),))
-        job = Job(npes=4, config=RuntimeConfig.proposed(faults=plan))
+        cfg = RuntimeConfig.proposed(faults=plan)
+        job = Job(npes=4, config=cfg)
         inj = job.fault_injector
         assert inj is not None and inj.plan is plan
         assert job.fabric.faults is inj
@@ -107,7 +108,8 @@ class TestConfigAndJobWiring:
         assert job.pmi_domain.faults is inj
 
     def test_job_skips_empty_plan(self):
-        job = Job(npes=4, config=RuntimeConfig.proposed(faults=FaultPlan()))
+        cfg = RuntimeConfig.proposed(faults=FaultPlan())
+        job = Job(npes=4, config=cfg)
         assert job.fault_injector is None
         assert job.fabric.faults is None
 

@@ -40,6 +40,7 @@ from repro.gasnet import LifecyclePolicy
 from ..obs.test_determinism import PLAN
 
 FIXTURES = Path(__file__).parent.parent / "data"
+FAULTED = RuntimeConfig.proposed(faults=PLAN)
 FIXTURE = FIXTURES / "golden_trace_ondemand_128.txt"
 
 #: fixture name -> (job builder, app factory)
@@ -61,8 +62,7 @@ GOLDEN = {
         lambda: ChurnWorkload(epochs=2),
     ),
     "golden_trace_faulted_64.txt": (
-        lambda: Job(64, RuntimeConfig.proposed(faults=PLAN),
-                    cluster_b(64, ppn=16), trace=True),
+        lambda: Job(64, FAULTED, cluster_b(64, ppn=16), trace=True),
         HelloWorld,
     ),
 }
