@@ -99,7 +99,7 @@ class JobSpec:
     ppn: Optional[int] = None
     #: CostModel fields to evolve on top of the testbed's preset (e.g.
     #: ``{"qp_cache_entries": 8}`` for ablation D5).  Normalised to a
-    #: sorted tuple so specs stay hashable.
+    #: sorted tuple (``None`` when empty) so specs stay hashable.
     cost_overrides: Optional[Tuple[Tuple[str, Any], ...]] = None
 
     def __post_init__(self) -> None:
@@ -115,7 +115,9 @@ class JobSpec:
         overrides = self.cost_overrides
         if isinstance(overrides, Mapping):
             overrides = tuple(sorted(overrides.items()))
-            object.__setattr__(self, "cost_overrides", overrides)
+        if not overrides:
+            overrides = None
+        object.__setattr__(self, "cost_overrides", overrides)
         if overrides:
             # Validate here, with the offending key in hand — an
             # unhashable value (e.g. a list) would otherwise explode

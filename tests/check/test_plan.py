@@ -86,3 +86,14 @@ class TestJobSpecWiring:
                        config=RuntimeConfig.proposed(check=False))
         assert spec.config.check is None
         assert "check" not in spec.key
+
+    def test_dict_is_parsed(self):
+        spec = JobSpec(app=HelloWorld(), npes=4,
+                       config=RuntimeConfig.proposed(check={"strict": False}))
+        assert spec.config.check == CheckPlan(strict=False)
+        assert spec.key.endswith("check")
+
+    def test_garbage_rejected(self):
+        with pytest.raises(ConfigError):
+            JobSpec(app=HelloWorld(), npes=4,
+                    config=RuntimeConfig.proposed(check="all"))

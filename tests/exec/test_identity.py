@@ -1,18 +1,19 @@
-"""Canonical JobSpec identity: distinctness and bugfix regressions.
+"""Canonical JobSpec identity: aliasing, distinctness, bugfixes.
 
-Two families of property:
+Three families of property:
 
+* **Aliasing** — trivially different spellings of the *same run* share
+  a content hash: dict vs pre-sorted tuple overrides, empty vs absent
+  overrides, and the option spellings ``RuntimeConfig`` coerces when it
+  is built (``check=True`` vs ``CheckPlan()``, an ``observe`` dict vs
+  ``TimelineConfig``).  The hash itself folds nothing; these hold
+  because both spellings build equal specs.
 * **Distinctness** — two specs differing in *any* semantic field must
   never share a hash; this pins the historical ``key`` bugs where
   ``faults`` and ``cost_overrides`` silently vanished from identity.
 * **Bugfix regressions** — ``SweepError`` names specs collision-free,
   and unhashable ``cost_overrides`` values fail at construction with a
   one-line ``ConfigError`` instead of a deep ``lru_cache`` TypeError.
-
-Spellings of one option that mean the same run (``check=True`` vs
-``CheckPlan()``, an ``observe`` dict vs ``TimelineConfig``) are
-coerced by ``RuntimeConfig`` when it is built, so they compare equal
-before any hash is taken (see ``tests/core/test_config_job.py``).
 """
 
 import pickle
@@ -20,12 +21,14 @@ import pickle
 import pytest
 
 from repro.apps import HelloWorld, NasEP
+from repro.check import CheckPlan
 from repro.core import RuntimeConfig
 from repro.errors import ConfigError
-from repro.exec import (JobSpec, SweepError, canonical_json, run_sweep,
-                        spec_hash, spec_identity)
+from repro.exec import (JobSpec, SweepError, canonical_json, execute,
+                        run_sweep, spec_hash, spec_identity)
 from repro.faults import FaultPlan, UDFault
 from repro.gasnet import LifecyclePolicy
+from repro.obs.timeline import TimelineConfig
 
 LOSSY = FaultPlan(name="loss", ud=(UDFault("drop", prob=0.1),))
 
@@ -35,6 +38,59 @@ def _spec(**kw):
     kw.setdefault("npes", 8)
     kw.setdefault("config", RuntimeConfig.proposed())
     return JobSpec(**kw)
+
+
+# ----------------------------------------------------------------------
+# aliasing: same run, same hash
+# ----------------------------------------------------------------------
+class TestAliasing:
+    def test_dict_and_sorted_tuple_overrides_alias(self):
+        as_dict = _spec(cost_overrides={"qp_cache_entries": 8,
+                                        "poll_cq_us": 0.2})
+        as_tuple = _spec(cost_overrides=(("poll_cq_us", 0.2),
+                                         ("qp_cache_entries", 8)))
+        assert spec_hash(as_dict) == spec_hash(as_tuple)
+
+    def test_int_and_float_override_values_alias_like_json(self):
+        # json canonicalisation: 8 and 8.0 are distinct (int vs float),
+        # but 0.2 spelled twice is identical.
+        a = _spec(cost_overrides={"poll_cq_us": 0.2})
+        b = _spec(cost_overrides=(("poll_cq_us", 0.2),))
+        assert spec_hash(a) == spec_hash(b)
+
+    def test_empty_overrides_alias_absent(self):
+        assert _spec(cost_overrides={}).cost_overrides is None
+        assert spec_hash(_spec(cost_overrides={})) == spec_hash(
+            _spec(cost_overrides=())) == spec_hash(_spec(cost_overrides=None))
+
+    def test_check_true_aliases_default_plan(self):
+        assert spec_hash(_spec(config=RuntimeConfig.proposed(check=True))) \
+            == spec_hash(_spec(config=RuntimeConfig.proposed(
+                check=CheckPlan())))
+
+    def test_observe_dict_aliases_timeline_config(self):
+        as_dict = _spec(config=RuntimeConfig.proposed(
+            observe={"timeline": True}))
+        as_config = _spec(config=RuntimeConfig.proposed(
+            observe={"timeline": TimelineConfig()}))
+        assert spec_hash(as_dict) == spec_hash(as_config)
+
+    def test_observe_interval_dict_aliases_explicit_config(self):
+        as_dict = _spec(config=RuntimeConfig.proposed(
+            observe={"timeline": {"interval_us": 500.0}}))
+        as_config = _spec(config=RuntimeConfig.proposed(
+            observe={"timeline": TimelineConfig(interval_us=500.0)}))
+        assert spec_hash(as_dict) == spec_hash(as_config)
+
+    def test_aliased_specs_produce_equal_results(self):
+        # Aliasing is only sound if the two spellings really do run
+        # identically; spot-check one non-trivial pair.
+        as_dict = _spec(npes=4, ppn=2, config=RuntimeConfig.proposed(
+            faults={"ud": [{"action": "drop", "prob": 0.1}]}))
+        as_plan = _spec(npes=4, ppn=2, config=RuntimeConfig.proposed(
+            faults=FaultPlan(ud=(UDFault("drop", prob=0.1),))))
+        assert spec_hash(as_dict) == spec_hash(as_plan)
+        assert execute(as_dict) == execute(as_plan)
 
 
 # ----------------------------------------------------------------------
