@@ -110,9 +110,6 @@ class Cluster:
             return 1
         return 3
 
-    def rank_distance_hops(self, rank_a: int, rank_b: int) -> int:
-        return self.hops(self._node_of[rank_a], self._node_of[rank_b])
-
     def lid_of(self, rank: int) -> int:
         """InfiniBand LID of the node hosting ``rank`` (one HCA/node)."""
         return 0x100 + self._node_of[rank]

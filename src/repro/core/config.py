@@ -75,7 +75,7 @@ class RuntimeConfig:
     #: startup metrics through closed-form cost curves instead of the
     #: per-PE event swarm.  Off by default — the exact engine is the
     #: reference; macro mode exists for very large scale points
-    #: (Figure 5 beyond ~10^5 PEs).  Models the two paper corners only
+    #: (Figure 5 beyond ~10^5 PEs).  Models the on-demand corner only
     #: and is incompatible with faults, observe, check and an enabled
     #: lifecycle (and with ``Job(trace=True)``).
     macro: bool = False
@@ -99,8 +99,15 @@ class RuntimeConfig:
             raise ConfigError(
                 f"heap_mb must be finite and positive, got {self.heap_mb!r}"
             )
-        if self.heap_backing_kb <= 0:
-            raise ConfigError("heap_backing_kb must be positive")
+        if not (
+            isinstance(self.heap_backing_kb, numbers.Real)
+            and math.isfinite(self.heap_backing_kb)
+            and self.heap_backing_kb > 0
+        ):
+            raise ConfigError(
+                f"heap_backing_kb must be finite and positive, "
+                f"got {self.heap_backing_kb!r}"
+            )
         if (
             not isinstance(self.seed, numbers.Integral)
             or isinstance(self.seed, bool) or self.seed < 0
@@ -148,7 +155,7 @@ class RuntimeConfig:
     def _check_macro(self) -> None:
         """The macro layer reproduces metrics, not events: anything that
         hooks the event stream has nothing to hook, and only the paper's
-        two corners have phase models."""
+        on-demand corner has phase models."""
         if self.faults is not None and not self.faults.empty:
             raise ConfigError("macro mode cannot inject faults")
         if self.observe:
@@ -158,17 +165,16 @@ class RuntimeConfig:
         if self.lifecycle is not None and self.lifecycle.enabled:
             raise ConfigError("macro mode does not model connection lifecycle")
         axes = (self.connection_mode, self.pmi_mode, self.barrier_mode)
-        if axes == ("ondemand", "nonblocking", "intranode"):
-            if not self.piggyback_segments:
-                raise ConfigError(
-                    "macro mode does not model the D1 ablation "
-                    "(piggyback_segments=False); use the exact engine"
-                )
-        elif axes != ("static", "blocking", "global"):
+        if axes != ("ondemand", "nonblocking", "intranode"):
             raise ConfigError(
-                "macro mode models the paper's two design corners only "
-                "(static+blocking+global or ondemand+nonblocking+intranode), "
-                f"not {self.label!r}; use the exact engine for ablations"
+                "macro mode models one of the paper's two design corners "
+                "only (ondemand+nonblocking+intranode), "
+                f"not {self.label!r}; use the exact engine"
+            )
+        if not self.piggyback_segments:
+            raise ConfigError(
+                "macro mode does not model the D1 ablation "
+                "(piggyback_segments=False); use the exact engine"
             )
 
     # -- the paper's two corners ------------------------------------------

@@ -71,7 +71,6 @@ class Job:
                 raise ConfigError(
                     "macro mode produces no event trace (trace=True)"
                 )
-            self._scheduler = scheduler
             # No machine: the reducers read MacroRunResult instead.
             self.sim = None
             self.obs = None
@@ -91,9 +90,7 @@ class Job:
         self.obs: Optional[Observability] = (
             Observability(self.sim, timeline=timeline_cfg) if obs_on else None
         )
-        self.counters = (
-            self.obs.counters_facade() if self.obs is not None else Counters()
-        )
+        self.counters = Counters()
         self.rng = RngRegistry(self.config.seed)
         self.fabric = Fabric(self.sim, self.cluster, self.rng, self.counters)
         cost = self.cluster.cost
@@ -196,10 +193,7 @@ class Job:
     def run(self, app) -> JobResult:
         """Launch ``app`` on every PE and simulate to completion."""
         if self.macro:
-            res = run_macro_job(
-                app, self.npes, self.config, self.cluster,
-                scheduler=self._scheduler,
-            )
+            res = run_macro_job(app, self.npes, self.config, self.cluster)
             return JobResult(
                 npes=self.npes,
                 config_label=self.config.label,
@@ -308,6 +302,7 @@ class Job:
             resources=ResourceReport.from_pes(self.pes),
             app_results=results,
             counters=self.counters.as_dict(),
-            telemetry=self.obs.telemetry() if self.obs is not None else None,
+            telemetry=(self.obs.telemetry(self.counters)
+                       if self.obs is not None else None),
             check=check_report,
         )

@@ -328,9 +328,6 @@ class Conduit:
     def connection_count(self) -> int:
         return len(self._conns)
 
-    def connected_peers(self) -> List[int]:
-        return sorted(self._conns)
-
     def _register_connection(self, peer: int, qp: RCQueuePair,
                              send_cq: CompletionQueue) -> Connection:
         if self.check is not None and peer in self._conns:

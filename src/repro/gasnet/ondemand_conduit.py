@@ -471,9 +471,6 @@ class OnDemandConduit(Conduit):
                     # Count actual retransmissions only — neither the
                     # first send nor the final grace pass is a retry.
                     self.counters.add("conduit.connect_retries")
-                    if obs is not None:
-                        obs.metrics.counter(
-                            "conduit.connect_retransmits").inc()
             # else: final grace wait for an in-flight reply.
             timeout = self.sim.timeout(self.cost.ud_retry_timeout_us)
             which, _value = yield self.sim.any_of([ev, timeout])
@@ -607,8 +604,8 @@ class OnDemandConduit(Conduit):
             # the drain wins (serving now would pair a fresh QP with a
             # half-dead one).  Park the request and re-enter once the
             # drain completes — every idempotence rule reapplies.
-            # Lands in MetricsRegistry as-is on observed runs (the
-            # CountersBridge façade), keyed conduit.requests_during_drain.
+            # Observed runs export it as the label-less telemetry
+            # series conduit.requests_during_drain.
             self.counters.add("conduit.requests_during_drain")
             spawn(
                 self.sim,

@@ -58,9 +58,6 @@ class Fabric:
             raise ValueError(f"duplicate LID {hca.lid:#x}")
         self._hcas[hca.lid] = hca
 
-    def hca_by_lid(self, lid: int) -> "HCA":
-        return self._hcas[lid]
-
     # ------------------------------------------------------------------
     def transmit(self, src: "HCA", packet: "Packet", unreliable: bool = False) -> None:
         """Inject ``packet`` into the fabric from ``src``.
@@ -122,7 +119,6 @@ class Fabric:
             name, "fabric", parent=parent,
             src_node=src.node, dst_node=dst.node, nbytes=packet.nbytes,
         )
-        obs.metrics.counter(name).inc()
 
     def _deliver(
         self, src: "HCA", dst: "HCA", packet: "Packet", extra_delay: float

@@ -8,8 +8,9 @@ Job` aggregates the two recording surfaces:
   on-demand handshakes, QP state machines, PMI collectives, fault
   hits);
 * :attr:`Observability.metrics` — a :class:`MetricsRegistry` of
-  counters/gauges/histograms, which also subsumes the legacy flat
-  ``Counters`` via :meth:`Observability.counters_facade`.
+  gauges, histograms and labelled counters.  The job's flat
+  :class:`~repro.sim.trace.Counters` stay the one flat counter API;
+  :meth:`Observability.telemetry` adds them as label-less series.
 
 Layers hold a plain ``obs`` attribute that is ``None`` unless the job's
 config sets ``observe=True`` — instrumentation sites cost exactly
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..sim import Simulator
+from ..sim import Counters, Simulator
 from .diff import (
     diff_snapshots,
     format_diff,
@@ -51,7 +52,6 @@ from .export import (
 from .metrics import (
     BUCKET_BOUNDS,
     Counter,
-    CountersBridge,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -75,7 +75,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "CountersBridge",
     "BUCKET_BOUNDS",
     "bucket_index",
     "Timeline",
@@ -116,24 +115,28 @@ class Observability:
             Timeline(sim, timeline) if timeline is not None else None
         )
 
-    def counters_facade(self) -> CountersBridge:
-        """A ``sim.trace.Counters``-compatible view feeding the registry."""
-        return CountersBridge(self.metrics)
-
     # ------------------------------------------------------------------
     # results / export
     # ------------------------------------------------------------------
-    def telemetry(self) -> Dict[str, Any]:
+    def telemetry(self, counters: Counters) -> Dict[str, Any]:
         """The ``JobResult.telemetry`` payload: span stats + metric dump
-        (+ the timeline snapshot when sampling was enabled)."""
+        (+ the timeline snapshot when sampling was enabled).
+
+        The job's flat ``counters`` enter the metric dump here, as
+        label-less counter series next to the registry's own.
+        """
         open_spans = sum(1 for s in self.spans if s.end_us is None)
+        metrics = self.metrics.snapshot()
+        metrics["counters"] = dict(sorted(
+            {**metrics["counters"], **counters.as_dict()}.items()
+        ))
         payload: Dict[str, Any] = {
             "spans": {
                 "count": len(self.spans),
                 "dropped": self.spans.dropped,
                 "open": open_spans,
             },
-            "metrics": self.metrics.snapshot(),
+            "metrics": metrics,
         }
         if self.timeline is not None:
             payload["timeline"] = self.timeline.snapshot()

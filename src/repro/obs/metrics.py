@@ -16,18 +16,17 @@ exact power of two lands in the bucket whose bound it equals (pinned
 by unit tests — the boundary test uses :func:`math.frexp`, which is
 exact for floats, not ``log2`` rounding).
 
-:class:`CountersBridge` subsumes the flat :class:`repro.sim.trace.
-Counters` API behind the registry: when a job runs with observation
-enabled, every existing ``counters.add(...)`` call site transparently
-feeds a registry counter — no substrate changes, one façade.
+The registry holds what the flat :class:`repro.sim.trace.Counters`
+cannot: gauges, histograms and labelled counters such as
+``conduit.evictions{policy=lru}``.  The job's flat counters join the
+registry's series only when telemetry is snapshotted (see
+:meth:`repro.obs.Observability.telemetry`).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Dict, List, Optional, Tuple
-
-from ..sim import Counters
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -36,7 +35,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "CountersBridge",
 ]
 
 #: Smallest / largest log2 bucket exponent.  2**-4 = 0.0625 us resolves
@@ -260,35 +258,3 @@ class MetricsRegistry:
             "histograms": dict(sorted(histograms.items())),
         }
 
-
-class CountersBridge(Counters):
-    """`sim.trace.Counters`-compatible façade over registry counters.
-
-    Installed as ``Job.counters`` when observation is on: every
-    substrate keeps calling the flat counter API it always had, and the
-    values land in the registry as label-less counter series.  The
-    per-name metric object is memoised locally so the hot ``add`` path
-    is one dict lookup + integer add, like the original.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        super().__init__()
-        self._registry = registry
-        self._cache: Dict[str, Counter] = {}
-
-    def add(self, name: str, amount: int = 1) -> None:
-        counter = self._cache.get(name)
-        if counter is None:
-            counter = self._cache[name] = self._registry.counter(name)
-        counter.value += amount
-
-    def __getitem__(self, name: str) -> int:
-        counter = self._cache.get(name)
-        return counter.value if counter is not None else 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: c.value for name, c in self._cache.items() if c.value}
-
-    def reset(self) -> None:
-        for counter in self._cache.values():
-            counter.value = 0

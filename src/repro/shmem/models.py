@@ -2,81 +2,50 @@
 
 :func:`run_macro_job` is the orchestrator behind
 ``RuntimeConfig(macro=True)``: it reproduces one job's startup metrics
-without stepping a per-PE protocol coroutine swarm.  Two strategies,
-matched to the two design corners the macro layer supports:
+without stepping a per-PE protocol coroutine swarm.  It models the
+paper's proposed design only; ``RuntimeConfig`` refuses macro mode on
+the static corner and on every ablation when the config is built.
 
-* **On-demand (the paper's proposed design)** — every startup phase is
-  homogeneous and data-independent: endpoint creation, the
-  PMIX_Iallgather launch (which charges *zero* client time — the
-  daemon-tree work happens in the background), memory registration,
-  shared-memory setup and two intra-node barriers.  The whole flow
-  reduces to per-PE closed-form arithmetic plus a per-node max for the
-  barrier release — O(npes) float ops, O(1) simulator events (none).
-  This is the path that carries a 1,048,576-PE Figure-5 point.
-
-* **Static (the baseline)** — the blocking Put/Fence/Get exchange and
-  the two global AM-tree barriers serialise through the PMI daemon
-  tree and the conduit, so instead of a fragile closed form the macro
-  layer runs a *condensed replica*: the real simulator, PMI daemons,
-  fabric, verbs contexts and static conduits, driven by one flat
-  generator per PE that mirrors ``_static_startup`` statement by
-  statement — but with no :class:`~repro.shmem.runtime.ShmemPE`, no
-  segment tables, no observability shims.  Timing is exact by
-  construction (the engine sees the identical yield sequence); what is
-  saved is the per-PE object graph, which is what limits the exact
-  engine's scale.  The static corner is never run at macro scale — it
-  exists so the equivalence fixtures can cross-check both corners.
+Every on-demand startup phase is homogeneous and data-independent:
+endpoint creation, the PMIX_Iallgather launch (which charges *zero*
+client time — the daemon-tree work happens in the background), memory
+registration, shared-memory setup and two intra-node barriers.  The
+whole flow reduces to per-PE closed-form arithmetic plus a per-node max
+for the barrier release — O(npes) float ops and no simulator events.
+This is the path that carries a 1,048,576-PE Figure-5 point.
 
 Equivalence contract (see ``tests/core/test_macro_equivalence.py``):
-phase-timing breakdowns, ``init_duration`` / ``init_done_at``, the
-deterministic per-layer counters and the resource snapshots are
-reproduced bit for bit against the exact engine.  For the on-demand
-corner, ``wall_time_us``, the finalize-path counters and the resource
-snapshot come from the lossless-UD model in :mod:`repro.gasnet.models`
-(the exact engine draws UD-loss randomness there, and its per-PE
-snapshot can catch finalize-phase connect traffic from early
-finishers) and are reported in ``MacroRunResult.modeled`` rather than
-asserted.
+phase-timing breakdowns, ``init_duration`` / ``init_done_at`` and the
+deterministic startup counters are reproduced bit for bit against the
+exact engine.  ``wall_time_us``, the finalize-path counters and the
+resource snapshot come from the lossless-UD model in
+:mod:`repro.gasnet.models` (the exact engine draws UD-loss randomness
+there, and its per-PE snapshot can catch finalize-phase connect traffic
+from early finishers) and are reported in ``MacroRunResult.modeled``
+rather than asserted.
 """
 
 from __future__ import annotations
 
-import gc
 import math
-from typing import Dict, Generator, List
+from typing import Dict, List
 
 from ..cluster import Cluster
 from ..errors import ConfigError
-from ..gasnet import ConduitNetwork, StaticConduit
 from ..gasnet.models import exchange_payload_bytes, finalize_model
-from ..ib import HCA, Fabric, VerbsContext
-from ..pmi import PMIClient, PMIDomain
 from ..pmi.models import iallgather_release_times, iallgather_tree_counters
-from ..sim import (
-    Counters,
-    Mailbox,
-    PhaseTimer,
-    RngRegistry,
-    Simulator,
-    Tracer,
-    spawn,
-    spawn_batch,
-)
+from ..sim import RngRegistry
 from ..sim.macro import MacroPE, MacroRunResult
-from .collectives import tree_parent_children
-from .context import COLL_HANDLER
-from .heap import SymmetricHeap
-from .startup import PHASE_CONN, PHASE_MEMREG, PHASE_OTHER, PHASE_PMI, PHASE_SHM
+from .startup import PHASE_MEMREG, PHASE_OTHER, PHASE_PMI, PHASE_SHM
 
 __all__ = ["run_macro_job"]
 
 
-def run_macro_job(app, npes: int, config, cluster: Cluster,
-                  scheduler: str = "calendar") -> MacroRunResult:
+def run_macro_job(app, npes: int, config, cluster: Cluster) -> MacroRunResult:
     """Reproduce one job's metrics through the macro phase models.
 
-    ``config`` is one of the two design corners: ``RuntimeConfig``
-    refuses ``macro=True`` anywhere else when it is built.
+    ``config`` is the on-demand corner: ``RuntimeConfig`` refuses
+    ``macro=True`` anywhere else when it is built.
     """
     profile = getattr(app, "macro_profile", None)
     if profile is None:
@@ -84,16 +53,6 @@ def run_macro_job(app, npes: int, config, cluster: Cluster,
             f"macro mode requires an app with a macro_profile() "
             f"(closed-form per-rank cost); {type(app).__name__} has none"
         )
-    if config.connection_mode == "ondemand":
-        return _ondemand_macro(app, npes, config, cluster)
-    return _static_macro(app, npes, config, cluster, scheduler)
-
-
-# ======================================================================
-# on-demand corner: fully analytic (zero simulator events)
-# ======================================================================
-def _ondemand_macro(app, npes: int, config, cluster: Cluster
-                    ) -> MacroRunResult:
     cost = cluster.cost
     rng = RngRegistry(config.seed)
     skews = rng.stream("launch-skew").uniform(
@@ -213,217 +172,4 @@ def _ondemand_macro(app, npes: int, config, cluster: Cluster
         app_results=results,
         counters=counters,
         modeled=modeled,
-    )
-
-
-# ======================================================================
-# static corner: condensed replica on the real substrate
-# ======================================================================
-class _ReplicaPE:
-    """Minimal stand-in for a ShmemPE in the static macro replica.
-
-    Carries only what the flat startup generator and the job-level
-    reducers touch: the real :class:`~repro.sim.trace.PhaseTimer`, the
-    collective mailboxes, and the final resource snapshot.
-    """
-
-    __slots__ = ("sim", "rank", "ctx", "conduit", "counters", "timer",
-                 "init_done_at", "init_duration", "heap", "heap_region",
-                 "_chans", "_resources")
-
-    def __init__(self, sim, rank, ctx, conduit, counters) -> None:
-        self.sim = sim
-        self.rank = rank
-        self.ctx = ctx
-        self.conduit = conduit
-        self.counters = counters
-        self.timer = PhaseTimer(sim)
-        self.init_done_at = 0.0
-        self.init_duration = 0.0
-        self.heap = None
-        self.heap_region = None
-        self._chans: Dict[tuple, Mailbox] = {}
-        self._resources: Dict[str, float] = {}
-        conduit.register_handler(COLL_HANDLER, self._on_coll_message)
-
-    def _chan(self, key: tuple) -> Mailbox:
-        mbox = self._chans.get(key)
-        if mbox is None:
-            mbox = Mailbox(self.sim, name=f"coll-{self.rank}-{key}")
-            self._chans[key] = mbox
-        return mbox
-
-    def _on_coll_message(self, src: int, data) -> None:
-        key, payload = data
-        self._chan(key).send((src, payload))
-
-    def breakdown(self) -> Dict[str, float]:
-        return self.timer.breakdown()
-
-    def resource_usage(self) -> Dict[str, float]:
-        return self._resources
-
-
-def _replica_barrier(pe: _ReplicaPE, npes: int, seq: int) -> Generator:
-    """``barrier_all`` over the world set, event-for-event (binary
-    rank tree, gather up then release down over real AM sends)."""
-    pe.counters.add("shmem.barriers")
-    parent, children = tree_parent_children(pe.rank, npes)
-    up = ("bar", seq, "up")
-    down = ("bar", seq, "down")
-    for _ in children:
-        yield pe._chan(up).recv()
-    if parent is not None:
-        yield from pe.conduit.am_send(
-            parent, COLL_HANDLER, data=(up, None), data_bytes=0
-        )
-        yield pe._chan(down).recv()
-    for child in children:
-        yield from pe.conduit.am_send(
-            child, COLL_HANDLER, data=(down, None), data_bytes=0
-        )
-
-
-def _static_macro(app, npes: int, config, cluster: Cluster,
-                  scheduler: str) -> MacroRunResult:
-    # -- machine assembly: the same substrate Job builds, minus the
-    # ShmemPE layer, observability, faults and sanitizer -------------
-    sim = Simulator(scheduler=scheduler)
-    counters = Counters()
-    rng = RngRegistry(config.seed)
-    fabric = Fabric(sim, cluster, rng, counters)
-    cost = cluster.cost
-    hcas = [
-        HCA(sim, fabric, node=n, lid=0x100 + n, cost=cost, counters=counters)
-        for n in range(cluster.nnodes)
-    ]
-    ctxs = [
-        VerbsContext(sim, hcas[cluster.node_of(r)], r, cost, counters)
-        for r in range(npes)
-    ]
-    pmi_domain = PMIDomain(sim, cluster, counters)
-    pmi = [PMIClient(pmi_domain, r) for r in range(npes)]
-    network = ConduitNetwork()
-    network.obs = None
-    network.check = None
-    network.tracer = Tracer(sim, enabled=False)
-    conduits = [
-        StaticConduit(sim, network, ctxs[r], cluster, pmi[r], r)
-        for r in range(npes)
-    ]
-    pes = [
-        _ReplicaPE(sim, r, ctxs[r], conduits[r], counters)
-        for r in range(npes)
-    ]
-
-    skews = rng.stream("launch-skew").uniform(
-        0.0, cost.launch_skew_us, size=npes
-    )
-    model_bytes = int(config.heap_mb * 1024 * 1024)
-    backing = int(config.heap_backing_kb * 1024)
-    app_done_at: List[float] = [0.0] * npes
-    all_done_at: List[float] = [0.0] * npes
-    results: List = [None] * npes
-
-    def pe_main(rank: int) -> Generator:
-        # Mirrors Job.pe_main + _static_startup statement by statement;
-        # the engine sees the identical yield sequence, so timing and
-        # counters are exact by construction.
-        pe = pes[rank]
-        ctx = ctxs[rank]
-        conduit = conduits[rank]
-        client = pmi[rank]
-        yield float(skews[rank])
-        started = sim.now
-        # -- OTHER: misc init + UD endpoint --
-        pe.timer.begin(PHASE_OTHER)
-        yield cost.init_misc_us
-        yield from conduit.init_endpoint()
-        # -- PMI: blocking Put / Fence / Get-range --
-        pe.timer.begin(PHASE_PMI)
-        yield from client.put(f"ud-{rank}", conduit.ud_address)
-        yield from client.fence()
-        yield from client.get_range("ud-", npes)
-        cache = network.shared_cache
-        directory = cache.get("ud_directory")
-        if directory is None:
-            directory = {
-                r: network.peer(r).ud_address for r in range(npes)
-            }
-            cache["ud_directory"] = directory
-        conduit.set_ud_directory(directory)
-        # -- MEMREG: heap registration --
-        pe.timer.begin(PHASE_MEMREG)
-        pe.heap = SymmetricHeap(ctx.mm, model_bytes, backing_bytes=backing)
-        pe.heap_region = yield from ctx.reg_mr(
-            pe.heap.base, model_bytes=max(model_bytes, backing)
-        )
-        # -- SHM: shared-memory setup --
-        pe.timer.begin(PHASE_SHM)
-        local = cluster.local_size(rank)
-        yield cost.shm_setup_base_us + cost.shm_setup_per_rank_us * local
-        # -- CONN: full wire-up, second fence, segment push --
-        pe.timer.begin(PHASE_CONN)
-        yield from conduit.wireup()
-        yield from client.put(f"wired-{rank}", 1)
-        yield from client.fence()
-        per_msg = cost.post_wr_us + cost.am_handler_cpu_us
-        yield npes * per_msg
-        conduit.mark_ready()
-        # -- OTHER: two global init barriers --
-        pe.timer.begin(PHASE_OTHER)
-        yield from _replica_barrier(pe, npes, 0)
-        yield from _replica_barrier(pe, npes, 1)
-        pe.timer.stop()
-        pe.init_done_at = sim.now
-        pe.init_duration = sim.now - started
-        counters.add("shmem.start_pes_done")
-        # -- application (closed-form profile, same Timeout path) --
-        elapsed, value = app.macro_profile(rank, npes, cost)
-        yield sim.timeout(elapsed)
-        app_done_at[rank] = sim.now
-        results[rank] = value
-        pe._resources = {
-            "rc_qps": ctx.rc_qps_created,
-            "ud_qps": ctx.ud_qps_created,
-            "connections": ctx.connections_established,
-            "qp_memory_bytes": ctx.qp_memory_bytes,
-            "registered_bytes": ctx.registered_bytes,
-            "active_connections": conduit.connection_count,
-            "peers": len(conduit.touched_peers),
-        }
-        # -- finalize: barrier_all + bulk teardown --
-        yield from _replica_barrier(pe, npes, 2)
-        yield from conduit.teardown_charge()
-        all_done_at[rank] = sim.now
-
-    procs = spawn_batch(sim, ((pe_main(r), f"pe{r}") for r in range(npes)))
-    done = {"ok": False}
-
-    def join_all(s):
-        yield s.all_of(procs)
-        done["ok"] = True
-
-    spawn(sim, join_all(sim), name="join")
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        sim.run()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    if not done["ok"]:
-        raise RuntimeError(
-            "macro static replica did not complete (a PE is deadlocked)"
-        )
-
-    launch = cost.launch_overhead_us
-    return MacroRunResult(
-        pes=pes,
-        wall_time_us=launch + max(all_done_at),
-        app_done_us=launch + max(app_done_at),
-        app_results=results,
-        counters=counters.as_dict(),
-        modeled=[],
     )

@@ -44,7 +44,7 @@ against :class:`HeapQueue`, the original single binary heap kept as the
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -258,11 +258,6 @@ class Wave:
     @property
     def pending(self) -> int:
         return self.n - self.idx
-
-    def member_key(self, i: int) -> Tuple[float, int]:
-        """The ``(when, seq)`` dispatch key reserved for member ``i``."""
-        rec = self.keys[i]
-        return float(rec["when"]), int(rec["seq"])
 
     # -- cancellation --------------------------------------------------
     def cancel(self, i: int) -> bool:

@@ -32,6 +32,9 @@ class TestRuntimeConfig:
             {"heap_mb": float("nan")},
             {"heap_mb": float("inf")},
             {"heap_backing_kb": 0},
+            {"heap_backing_kb": float("nan")},
+            {"heap_backing_kb": float("inf")},
+            {"heap_backing_kb": "64"},
             {"seed": -1},
             {"seed": "x"},
             {"seed": True},

@@ -1,23 +1,21 @@
 """Macro-vs-exact equivalence: the analytical phase layer's contract.
 
 ``RuntimeConfig(macro=True)`` replaces the per-PE generator swarm with
-closed forms (on-demand corner) or a condensed replica (static corner).
-The contract is that for both design corners, at 128 and 512 PEs, on
-both cluster presets and both schedulers, the macro layer reproduces
-the exact DES's:
+closed forms.  It models the paper's proposed (on-demand) corner only.
+The contract is that at 128 and 512 PEs, on both cluster presets and
+both schedulers, the macro layer reproduces the exact DES's:
 
 * ``StartupReport`` (per-phase means and totals) — bit for bit;
 * ``app_done_us`` and per-PE ``app_results``;
-* the deterministic startup counters;
+* the deterministic startup counters.
 
-and, for the **static** corner (a replica on the real substrate, so
-nothing is modeled), additionally the full counters dict,
-``wall_time_us`` and the ``ResourceReport``.  For the **on-demand**
-corner those last three cross the finalize path, where the exact
-engine draws UD-loss randomness and per-PE resource snapshots can
-catch connect traffic from early-finishing nodes' finalize barriers —
-they are *modeled* (lossless closed forms) rather than asserted (see
-``repro.shmem.models``).
+``wall_time_us``, the finalize counters and the ``ResourceReport``
+cross the finalize path, where the exact engine draws UD-loss
+randomness and per-PE resource snapshots can catch connect traffic
+from early-finishing nodes' finalize barriers — they are *modeled*
+(lossless closed forms) rather than asserted (see
+``repro.shmem.models``).  The static corner and every ablation are
+refused when the config is built.
 
 A final test pins the other direction: with macro mode off (the
 default), the 128-PE golden event trace stays byte-identical — the
@@ -39,15 +37,11 @@ from repro.gasnet import LifecyclePolicy
 GOLDEN = Path(__file__).parent.parent / "data" / "golden_trace_ondemand_128.txt"
 
 CLUSTERS = {"A": cluster_a, "B": cluster_b}
-CONFIGS = {
-    "ondemand": RuntimeConfig.proposed,
-    "static": RuntimeConfig.current,
-}
 MACRO = RuntimeConfig.proposed(macro=True)
 
-#: Startup-path counters that must match the exact engine exactly in
-#: *both* corners (the on-demand finalize counters are modeled, so the
-#: on-demand assertion is restricted to this set).
+#: Startup-path counters that must match the exact engine exactly (the
+#: finalize counters are modeled, so the assertion is restricted to
+#: this set).
 STARTUP_COUNTERS = (
     "pmi.iallgathers",
     "pmi.tree_messages",
@@ -61,13 +55,13 @@ STARTUP_COUNTERS = (
 _cache = {}
 
 
-def _run(npes, testbed, corner, scheduler, macro):
+def _run(npes, testbed, scheduler, macro):
     """Run (and memoize) one job; exact runs dominate the suite cost."""
-    key = (npes, testbed, corner, scheduler, macro)
+    key = (npes, testbed, scheduler, macro)
     if key not in _cache:
         job = Job(
             npes=npes,
-            config=CONFIGS[corner](macro=macro),
+            config=RuntimeConfig.proposed(macro=macro),
             cluster=CLUSTERS[testbed](npes),
             scheduler=scheduler,
         )
@@ -77,11 +71,11 @@ def _run(npes, testbed, corner, scheduler, macro):
 
 @pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 @pytest.mark.parametrize("testbed", ["A", "B"])
-@pytest.mark.parametrize("corner", ["ondemand", "static"])
+@pytest.mark.parametrize("corner", ["ondemand"])
 @pytest.mark.parametrize("npes", [128, 512])
 def test_macro_matches_exact(npes, corner, testbed, scheduler):
-    exact = _run(npes, testbed, corner, scheduler, macro=False)
-    macro = _run(npes, testbed, corner, scheduler, macro=True)
+    exact = _run(npes, testbed, scheduler, macro=False)
+    macro = _run(npes, testbed, scheduler, macro=True)
 
     assert macro.macro is True and exact.macro is False
     # The whole StartupReport dataclass: phase means (insertion order
@@ -90,32 +84,26 @@ def test_macro_matches_exact(npes, corner, testbed, scheduler):
     assert macro.app_done_us == exact.app_done_us
     assert macro.app_results == exact.app_results
 
-    if corner == "static":
-        # The condensed replica runs the real substrate: everything is
-        # exact by construction, down to the last counter.
-        assert macro.wall_time_us == exact.wall_time_us
-        assert macro.resources == exact.resources
-        assert macro.counters == exact.counters
-    else:
-        for name in STARTUP_COUNTERS:
-            if name == "pmi.tree_bytes" and name not in macro.counters:
-                # Single-node clusters have no daemon tree; not hit at
-                # these sizes, but keep the contract explicit.
-                continue
-            assert macro.counters.get(name) == exact.counters.get(name), name
-        assert macro.counters["shmem.intranode_barriers"] == 2 * npes
-        assert macro.counters["shmem.start_pes_done"] == npes
+    for name in STARTUP_COUNTERS:
+        if name == "pmi.tree_bytes" and name not in macro.counters:
+            # Single-node clusters have no daemon tree; not hit at
+            # these sizes, but keep the contract explicit.
+            continue
+        assert macro.counters.get(name) == exact.counters.get(name), name
+    assert macro.counters["shmem.intranode_barriers"] == 2 * npes
+    assert macro.counters["shmem.start_pes_done"] == npes
 
 
-@pytest.mark.parametrize("corner", ["ondemand", "static"])
+@pytest.mark.parametrize("corner", ["ondemand"])
 def test_macro_via_config_flag(corner):
-    """Either preset evolved with ``macro=True`` runs the macro layer."""
-    config = CONFIGS[corner]().evolve(macro=True)
+    """The proposed preset evolved with ``macro=True`` runs the macro
+    layer."""
+    config = RuntimeConfig.proposed().evolve(macro=True)
     job = Job(npes=128, config=config, cluster=cluster_b(128))
     assert job.macro is True and job.sim is None
     result = job.run(HelloWorld())
     assert result.macro is True
-    assert result.startup == _run(128, "B", corner, "calendar", False).startup
+    assert result.startup == _run(128, "B", "calendar", False).startup
 
 
 def test_golden_trace_byte_identical_with_macro_off():
@@ -174,6 +162,9 @@ def test_macro_rejects_ablation_corners():
     # A mixed-axis ablation (on-demand connections, blocking PMI).
     with pytest.raises(ConfigError, match="design corners"):
         RuntimeConfig.proposed(macro=True, pmi_mode="blocking")
+    # The static corner: the paper's baseline has no phase model.
+    with pytest.raises(ConfigError, match="design corners"):
+        RuntimeConfig.current(macro=True)
 
 
 def test_macro_requires_macro_profile():

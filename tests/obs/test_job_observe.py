@@ -3,11 +3,13 @@
 import pytest
 
 from repro.apps import ChurnWorkload, HelloWorld
-from repro.cluster import cluster_a
+from repro.cluster import cluster_a, cluster_b
 from repro.core import Job, RuntimeConfig
 from repro.gasnet import LifecyclePolicy
-from repro.obs import CountersBridge, Observability, series_peak
+from repro.obs import Observability, series_peak
 from repro.sim import Counters
+
+from .test_determinism import PLAN
 
 
 def _job(observe=False, config=None, npes=8, ppn=2):
@@ -30,7 +32,7 @@ def test_observation_is_off_by_default():
 def test_observe_true_installs_the_recorder_everywhere():
     job = _job(observe=True)
     assert isinstance(job.obs, Observability)
-    assert isinstance(job.counters, CountersBridge)
+    assert type(job.counters) is Counters
     assert job.fabric.obs is job.obs
     assert job.network.obs is job.obs
     assert job.pmi_domain.obs is job.obs
@@ -52,11 +54,18 @@ def test_telemetry_shape_and_expected_series():
     assert hists["conduit.handshake_rtt_us"]["min"] > 0.0
     assert hists["shmem.start_pes_us"]["count"] == job.npes
     assert any(k.startswith("hca.qp_cache_miss_penalty_us") for k in hists)
-    # The flat counters ride through the façade into the registry.
-    assert tele["metrics"]["counters"]["conduit.connect_requests"] > 0
-    assert result.counters["conduit.connect_requests"] == (
-        tele["metrics"]["counters"]["conduit.connect_requests"]
-    )
+    # The flat counters enter telemetry as the label-less series, one
+    # for one: none is missing and no registry series repeats one.  The
+    # faulted 64-PE run exercises UD drops, duplicates and retries.
+    faulted = Job(
+        npes=64,
+        config=RuntimeConfig.proposed(faults=PLAN, observe=True),
+        cluster=cluster_b(64, ppn=16),
+    ).run(HelloWorld())
+    counters = faulted.telemetry["metrics"]["counters"]
+    label_less = {k: v for k, v in counters.items() if "{" not in k}
+    assert faulted.counters["fabric.ud_dropped"] > 0
+    assert label_less == faulted.counters
 
 
 def test_expected_span_families_are_recorded():
@@ -94,9 +103,9 @@ def test_observation_is_passive():
 
 
 # ----------------------------------------------------------------------
-# eviction/reconnect churn under observation (the CountersBridge's
-# hardest case: the lifecycle reaper drives counters from timer context
-# while the sampler reads them)
+# eviction/reconnect churn under observation (the hardest case: the
+# lifecycle reaper drives counters from timer context while the sampler
+# reads them)
 # ----------------------------------------------------------------------
 def _churn_job(observe, npes=16):
     policy = LifecyclePolicy(policy="lru")
@@ -131,9 +140,9 @@ class TestChurnObservationMatrix:
 
     @pytest.mark.parametrize("mode", ["on", "timeline"])
     def test_flat_counters_identical_under_observation(self, runs, mode):
-        # The CountersBridge façade must count exactly like the plain
-        # Counters dict — including the eviction/reconnect/drain
-        # counters the reaper drives from timer context.
+        # Observation must not change a single flat counter —
+        # including the eviction/reconnect/drain counters the reaper
+        # drives from timer context.
         assert runs[mode].counters == runs["off"].counters
 
     @pytest.mark.parametrize("mode", ["on", "timeline"])
@@ -144,7 +153,7 @@ class TestChurnObservationMatrix:
     def test_eviction_counters_reach_the_registry(self, runs):
         metrics = runs["on"].telemetry["metrics"]
         flat = runs["off"].counters
-        # Label-less series ride through the façade 1:1 ...
+        # Label-less series carry the flat counters 1:1 ...
         assert metrics["counters"]["conduit.evictions"] == (
             flat["conduit.evictions"]
         )

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: buckets, series, the façade.
+"""Unit tests for the metrics registry: buckets and series.
 
 The bucket-boundary tests are the load-bearing ones: ``bucket_index``
 must be *exact* at powers of two (le semantics — ``2**k`` lands in the
@@ -13,14 +13,12 @@ import pytest
 from repro.obs import (
     BUCKET_BOUNDS,
     Counter,
-    CountersBridge,
     Gauge,
     Histogram,
     MetricsRegistry,
     bucket_index,
 )
 from repro.obs.metrics import NUM_BUCKETS
-from repro.sim import Counters
 
 
 class TestBucketIndex:
@@ -204,34 +202,3 @@ class TestMetricsRegistry:
         assert snap["gauges"]["g"] == {"value": 4.5, "max": 4.5}
         assert snap["histograms"]["h"]["count"] == 1
 
-
-class TestCountersBridge:
-    def test_is_a_counters(self):
-        bridge = CountersBridge(MetricsRegistry())
-        assert isinstance(bridge, Counters)
-
-    def test_feeds_the_registry(self):
-        reg = MetricsRegistry()
-        bridge = CountersBridge(reg)
-        bridge.add("qp_created", 3)
-        bridge.add("qp_created")
-        assert bridge["qp_created"] == 4
-        assert bridge["never_touched"] == 0
-        assert reg.counter("qp_created").value == 4
-        assert bridge.as_dict() == {"qp_created": 4}
-
-    def test_reset(self):
-        reg = MetricsRegistry()
-        bridge = CountersBridge(reg)
-        bridge.add("x", 5)
-        bridge.reset()
-        assert bridge["x"] == 0
-        assert reg.counter("x").value == 0
-
-    def test_counter_registered_externally_is_shared(self):
-        # The façade and direct registry access see the same series.
-        reg = MetricsRegistry()
-        bridge = CountersBridge(reg)
-        bridge.add("shared")
-        reg.counter("shared").inc()
-        assert bridge["shared"] == 2
