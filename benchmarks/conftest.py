@@ -1,16 +1,19 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one paper table/figure via
-``repro.bench.experiments`` (quick-scale by default; set
-``REPRO_BENCH_FULL=1`` for paper-scale sweeps), asserts the paper's
-qualitative claims, and writes the rendered table to
-``benchmarks/results/``.
+Each benchmark runs one experiment from the registry
+``repro.bench.experiments.EXPERIMENTS`` (quick scale by default; set
+``REPRO_BENCH_FULL=1`` for paper scale), asserts the paper's
+qualitative claims, and writes the rendered table under the
+experiment's name to ``benchmarks/results/`` (quick) or
+``benchmarks/results/full/`` (paper scale).
 """
 
 import os
 from pathlib import Path
 
 import pytest
+
+from repro.bench.experiments import EXPERIMENTS
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -20,26 +23,23 @@ def full_scale() -> bool:
 
 
 @pytest.fixture
-def record_table():
-    """Save an ExperimentResult's table and echo it to stdout."""
+def experiment(benchmark):
+    """Run a registered experiment once, save its table and echo it.
 
-    def _record(result, name: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
+    Simulations are deterministic, so one pytest-benchmark round is
+    exact; re-running a multi-second DES adds nothing."""
+
+    def _run(name: str):
+        result = benchmark.pedantic(
+            EXPERIMENTS[name], kwargs={"quick": not full_scale()},
+            rounds=1, iterations=1,
+        )
+        out = RESULTS_DIR / "full" if full_scale() else RESULTS_DIR
+        out.mkdir(parents=True, exist_ok=True)
         text = result.render()
-        (RESULTS_DIR / f"{name}.txt").write_text(text)
-        (RESULTS_DIR / f"{name}.csv").write_text(result.csv())
+        (out / f"{name}.txt").write_text(text)
+        (out / f"{name}.csv").write_text(result.csv())
         print(text)
-
-    return _record
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """pytest-benchmark wrapper: simulations are deterministic, so one
-    round is exact; re-running a multi-second DES adds nothing."""
-
-    def _run(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
+        return result
 
     return _run

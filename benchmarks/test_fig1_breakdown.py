@@ -1,14 +1,10 @@
 """Figure 1: init-time breakdown of the static design."""
 
-from repro.bench.experiments import fig1_breakdown
 from repro.shmem import PHASE_CONN, PHASE_MEMREG, PHASE_PMI
 
-from conftest import full_scale
 
-
-def test_fig1_breakdown(run_once, record_table):
-    result = run_once(fig1_breakdown.run, quick=not full_scale())
-    record_table(result, "fig1_breakdown")
+def test_fig1_breakdown(experiment):
+    result = experiment("fig1_breakdown")
 
     means = result.extras["phase_means"]
     sizes = sorted(means)

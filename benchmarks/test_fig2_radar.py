@@ -1,11 +1,8 @@
 """Figure 2: qualitative summary radar."""
 
-from repro.bench.experiments import fig2_radar
 
-
-def test_fig2_radar(run_once, record_table):
-    result = run_once(fig2_radar.run)
-    record_table(result, "fig2_radar")
+def test_fig2_radar(experiment):
+    result = experiment("fig2_radar")
 
     axes = result.extras["axes"]
     # Dramatic wins on startup and resource usage...

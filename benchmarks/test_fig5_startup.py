@@ -1,13 +1,12 @@
 """Figure 5: startup performance, current vs proposed."""
 
-from repro.bench.experiments import fig5_startup
+from repro.shmem import PHASE_CONN, PHASE_MEMREG, PHASE_PMI
 
 from conftest import full_scale
 
 
-def test_fig5a_startup(run_once, record_table):
-    result = run_once(fig5_startup.run, quick=not full_scale())
-    record_table(result, "fig5a_startup")
+def test_fig5a_startup(experiment):
+    result = experiment("fig5a_startup")
 
     raw = result.extras["raw"]
     sizes = sorted(raw)
@@ -38,14 +37,23 @@ def test_fig5a_startup(run_once, record_table):
         assert 5.0 < hello_speedup < 14.0
 
 
-def test_fig5b_breakdown(run_once, record_table):
-    result = run_once(fig5_startup.run_breakdown, quick=not full_scale())
-    record_table(result, "fig5b_breakdown")
-
-    from repro.shmem import PHASE_CONN, PHASE_MEMREG, PHASE_PMI
-
+def test_fig5b_breakdown(experiment):
+    result = experiment("fig5b_breakdown")
     means = result.extras["phase_means"]
     for npes, bd in means.items():
         # Negligible time in PMI operations and connection setup.
         assert bd.get(PHASE_PMI, 0.0) < 0.02 * bd[PHASE_MEMREG]
         assert bd.get(PHASE_CONN, 0.0) < 0.02 * bd[PHASE_MEMREG]
+
+
+def test_fig5_scale(experiment):
+    result = experiment("fig5_scale")
+
+    raw = result.extras["raw"]
+    sizes = sorted(raw)
+    base = raw[sizes[0]].startup.mean_us
+    for npes in sizes:
+        # Hello World never leaves the node: no connection is built...
+        assert raw[npes].resources.mean_connections == 0.0, npes
+        # ...so start_pes stays flat far past the paper's 8,192 PEs.
+        assert abs(raw[npes].startup.mean_us / base - 1.0) < 0.01, npes

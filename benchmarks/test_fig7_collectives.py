@@ -1,13 +1,8 @@
 """Figure 7: collective latency, static vs on-demand."""
 
-from repro.bench.experiments import fig7_collectives
 
-from conftest import full_scale
-
-
-def test_fig7ab_collect_reduce(run_once, record_table):
-    result = run_once(fig7_collectives.run, quick=not full_scale())
-    record_table(result, "fig7ab_collect_reduce")
+def test_fig7ab_collect_reduce(experiment):
+    result = experiment("fig7ab_collect_reduce")
 
     latency = result.extras["latency"]
     for kind in ("collect", "reduce"):
@@ -22,9 +17,8 @@ def test_fig7ab_collect_reduce(run_once, record_table):
     assert latency["collect"][big][0] > 2.0 * latency["reduce"][big][0]
 
 
-def test_fig7c_barrier(run_once, record_table):
-    result = run_once(fig7_collectives.run_barrier, quick=not full_scale())
-    record_table(result, "fig7c_barrier")
+def test_fig7c_barrier(experiment):
+    result = experiment("fig7c_barrier")
 
     latency = result.extras["latency"]
     for npes, (s, o, diff) in latency.items():

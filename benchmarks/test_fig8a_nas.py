@@ -1,13 +1,10 @@
 """Figure 8(a): NAS benchmark total execution time."""
 
-from repro.bench.experiments import fig8a_nas
-
 from conftest import full_scale
 
 
-def test_fig8a_nas(run_once, record_table):
-    result = run_once(fig8a_nas.run, quick=not full_scale())
-    record_table(result, "fig8a_nas")
+def test_fig8a_nas(experiment):
+    result = experiment("fig8a_nas")
 
     times = result.extras["times"]
     for name, (static_us, ondemand_us, improvement) in times.items():

@@ -1,14 +1,9 @@
 """Table I: average communicating peers per process."""
 
-from repro.bench.experiments import table1_peers
 
-from conftest import full_scale
-
-
-def test_table1_peers(run_once, record_table):
-    npes = 256 if full_scale() else 64
-    result = run_once(table1_peers.run, npes=npes, quick=not full_scale())
-    record_table(result, "table1_peers")
+def test_table1_peers(experiment):
+    result = experiment("table1_peers")
+    npes = result.rows[0][1]
 
     peers = result.extras["peers"]
     # Every application talks to a small subset of its peers.

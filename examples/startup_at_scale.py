@@ -7,10 +7,11 @@ default sizes this takes a couple of minutes; pass explicit sizes to
 go bigger (the paper sweeps to 8,192).
 
     python examples/startup_at_scale.py [npes ...]
-    python examples/startup_at_scale.py --scale    # on-demand only, to 65,536
+    python examples/startup_at_scale.py --scale    # on-demand only, to 1,048,576
 
 ``--scale`` runs the proposed design alone far past the paper
-(16K/32K/65,536 PEs — minutes on one core, ~7 GB RSS at the top).
+(16,384 to 1,048,576 PEs, the macro phase models from 131,072 up —
+about 2 minutes on one core at 1.45 GB peak RSS).
 """
 
 import sys
@@ -22,7 +23,7 @@ def main() -> None:
     argv = sys.argv[1:]
     if argv and argv[0] == "--scale":
         sizes = [int(a) for a in argv[1:]] or None
-        print(fig5_startup.run_scale(sizes=sizes).render())
+        print(fig5_startup.run_scale(sizes=sizes, quick=False).render())
         return
     sizes = [int(a) for a in argv] or [128, 512, 2048, 4096]
     result = fig5_startup.run(sizes=sizes)

@@ -6,8 +6,7 @@ from .churn import ChurnWorkload
 from .graph500 import Graph500Hybrid, kronecker_edges
 from .heat2d import Heat2D, process_grid, solve_heat_serial
 from .hello import HelloWorld
-from .samplesort import HybridSampleSort
-from .nas import CLASSES, NasBT, NasEP, NasIS, NasMG, NasSP
+from .nas import CLASSES, NasBT, NasEP, NasMG, NasSP
 
 __all__ = [
     "Application",
@@ -17,11 +16,9 @@ __all__ = [
     "process_grid",
     "solve_heat_serial",
     "Graph500Hybrid",
-    "HybridSampleSort",
     "kronecker_edges",
     "NasBT",
     "NasEP",
-    "NasIS",
     "NasMG",
     "NasSP",
     "CLASSES",

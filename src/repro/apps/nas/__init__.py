@@ -3,9 +3,8 @@
 from .bt import NasBT
 from .common import CLASSES, NASClass, grid_2d, grid_3d
 from .ep import NasEP
-from .is_kernel import NasIS
 from .mg import NasMG
 from .sp import NasSP
 
-__all__ = ["NasBT", "NasEP", "NasIS", "NasMG", "NasSP", "CLASSES", "NASClass",
+__all__ = ["NasBT", "NasEP", "NasMG", "NasSP", "CLASSES", "NASClass",
            "grid_2d", "grid_3d"]

@@ -3,9 +3,9 @@
 Usage::
 
     python -m repro.bench --list
-    python -m repro.bench fig5a fig9            # quick scale
-    python -m repro.bench --full fig8a          # paper scale
-    python -m repro.bench fig5-scale --sizes 131072 1048576
+    python -m repro.bench fig5a_startup fig9_resources   # quick scale
+    python -m repro.bench --full fig8a_nas               # paper scale
+    python -m repro.bench fig5_scale --sizes 131072 1048576
 """
 
 from __future__ import annotations
@@ -13,46 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiments import (
-    ablation_barrier,
-    ablation_piggyback,
-    ablation_pmi,
-    ablation_qp_cache,
-    fig1_breakdown,
-    fig2_radar,
-    fig5_startup,
-    fig6_p2p,
-    fig7_collectives,
-    fig8a_nas,
-    fig8b_graph500,
-    fig9_churn,
-    fig9_resources,
-    table1_peers,
-)
-
-EXPERIMENTS = {
-    "fig1": lambda quick: fig1_breakdown.run(quick=quick),
-    "table1": lambda quick: table1_peers.run(quick=quick),
-    "fig2": lambda quick: fig2_radar.run(),
-    "fig5a": lambda quick: fig5_startup.run(quick=quick),
-    "fig5b": lambda quick: fig5_startup.run_breakdown(quick=quick),
-    # Beyond-the-paper on-demand curve; --full runs 16K/32K/65,536 PEs
-    # (minutes + several GB), quick keeps the 16K point only.
-    "fig5-scale": lambda quick: fig5_startup.run_scale(
-        sizes=fig5_startup.SCALE_SIZES[:1] if quick else None),
-    "fig6ab": lambda quick: fig6_p2p.run(quick=quick),
-    "fig6c": lambda quick: fig6_p2p.run_atomics(),
-    "fig7ab": lambda quick: fig7_collectives.run(quick=quick),
-    "fig7c": lambda quick: fig7_collectives.run_barrier(quick=quick),
-    "fig8a": lambda quick: fig8a_nas.run(quick=quick),
-    "fig8b": lambda quick: fig8b_graph500.run(quick=quick),
-    "fig9": lambda quick: fig9_resources.run(quick=quick),
-    "fig9-churn": lambda quick: fig9_churn.run(quick=quick),
-    "ablation-piggyback": lambda quick: ablation_piggyback.run(),
-    "ablation-pmi": lambda quick: ablation_pmi.run(quick=quick),
-    "ablation-barrier": lambda quick: ablation_barrier.run(quick=quick),
-    "ablation-qp-cache": lambda quick: ablation_qp_cache.run(),
-}
+from .experiments import EXPERIMENTS, fig5_startup
 
 #: ``--sizes`` sanity ceiling: the macro layer happily models a million
 #: PEs, but anything past 4Mi is a typo, not an experiment.
@@ -72,15 +33,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--sizes", nargs="+", type=int, metavar="NPES",
-        help="explicit job sizes for fig5-scale (overrides the preset "
+        help="explicit job sizes for fig5_scale (overrides the preset "
              "sweep; sizes >= %d PEs use the macro phase models)"
         % fig5_startup.MACRO_THRESHOLD,
     )
     args = parser.parse_args(argv)
 
     if args.sizes is not None:
-        if args.names != ["fig5-scale"]:
-            print("--sizes is only valid with the fig5-scale experiment",
+        if args.names != ["fig5_scale"]:
+            print("--sizes is only valid with the fig5_scale experiment",
                   file=sys.stderr)
             return 2
         bad = [n for n in args.sizes if n <= 0 or n > MAX_SCALE_SIZE]
@@ -88,6 +49,8 @@ def main(argv=None) -> int:
             print(f"--sizes values must be in 1..{MAX_SCALE_SIZE} PEs, "
                   f"got: {', '.join(map(str, bad))}", file=sys.stderr)
             return 2
+        print(fig5_startup.run_scale(sizes=args.sizes).render())
+        return 0
 
     if args.list or not args.names:
         print("available experiments:")
@@ -100,10 +63,7 @@ def main(argv=None) -> int:
         if fn is None:
             print(f"unknown experiment {name!r} (see --list)", file=sys.stderr)
             return 2
-        if name == "fig5-scale" and args.sizes is not None:
-            print(fig5_startup.run_scale(sizes=args.sizes).render())
-            continue
-        print(fn(not args.full).render())
+        print(fn(quick=not args.full).render())
     return 0
 
 

@@ -10,7 +10,7 @@ latency to each new peer.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 import numpy as np
 
@@ -38,7 +38,8 @@ class FirstTouchLatency(Application):
         return samples
 
 
-def run(npes: int = 16, quick: bool = True) -> ExperimentResult:
+def run(npes: Optional[int] = None, quick: bool = True) -> ExperimentResult:
+    npes = npes or (16 if quick else 32)
     piggy, separate = run_jobs([
         job_spec(FirstTouchLatency(), npes,
                  PROPOSED.evolve(piggyback_segments=True),

@@ -43,8 +43,8 @@ class ManyPeerTraffic(Application):
         return elapsed
 
 
-def run(cache_sizes: Optional[Sequence[int]] = None, npes: int = 32,
-        quick: bool = True) -> ExperimentResult:
+def run(cache_sizes: Optional[Sequence[int]] = None, npes: int = 32
+        ) -> ExperimentResult:
     cache_sizes = list(cache_sizes) if cache_sizes else [8, 32, 128, 512]
     config = RuntimeConfig.proposed(heap_backing_kb=256)
     results = run_jobs(

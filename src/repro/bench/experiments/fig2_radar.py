@@ -9,11 +9,15 @@ centre is better).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ...apps import HelloWorld, NasBT
 from ..runner import CURRENT, PROPOSED, ExperimentResult, run_job
 
 
-def run(npes: int = 64, startup_npes: int = 512, quick: bool = True) -> ExperimentResult:
+def run(npes: int = 64, startup_npes: Optional[int] = None,
+        quick: bool = True) -> ExperimentResult:
+    startup_npes = startup_npes or (512 if quick else 1024)
     hello_cur = run_job(HelloWorld(), startup_npes, CURRENT, testbed="B")
     hello_prop = run_job(HelloWorld(), startup_npes, PROPOSED, testbed="B")
     bt_cur = run_job(NasBT("S"), npes,

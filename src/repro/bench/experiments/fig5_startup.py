@@ -93,7 +93,8 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True,
     )
 
 
-def run_scale(sizes: Optional[Sequence[int]] = None) -> ExperimentResult:
+def run_scale(sizes: Optional[Sequence[int]] = None, quick: bool = True
+              ) -> ExperimentResult:
     """Figure 5 extended: on-demand startup far past the paper's 8,192.
 
     Proposed (on-demand) design only, one job per size, run serially
@@ -102,7 +103,8 @@ def run_scale(sizes: Optional[Sequence[int]] = None) -> ExperimentResult:
     PEs, several gigabytes of resident simulation state per worker).
     Sizes at or above :data:`MACRO_THRESHOLD` use the analytical phase
     models (``macro=True``), which is what carries the curve to
-    1,048,576 PEs on one core.
+    1,048,576 PEs on one core.  Quick scale runs the smallest size
+    only.
 
     Each point records host wall seconds and peak RSS (``getrusage``
     high-water, in MB — monotone across the ascending sweep) in
@@ -114,7 +116,8 @@ def run_scale(sizes: Optional[Sequence[int]] = None) -> ExperimentResult:
 
     from ..runner import run_job
 
-    sizes = list(sizes) if sizes else SCALE_SIZES
+    sizes = list(sizes) if sizes else (
+        SCALE_SIZES[:1] if quick else SCALE_SIZES)
     rows: List[list] = []
     raw: Dict[int, object] = {}
     wallclock: Dict[int, dict] = {}

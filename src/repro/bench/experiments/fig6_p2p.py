@@ -48,7 +48,7 @@ def run(sizes: Optional[Sequence[int]] = None, iterations: int = 100,
     )
 
 
-def run_atomics(iterations: int = 100, quick: bool = True) -> ExperimentResult:
+def run_atomics(iterations: int = 100) -> ExperimentResult:
     """Figure 6(c): atomic-operation latency."""
     static = _latency_atomics(iterations, CURRENT)
     ondemand = _latency_atomics(iterations, PROPOSED)

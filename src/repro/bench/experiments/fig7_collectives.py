@@ -28,9 +28,11 @@ QUICK_BARRIER_SIZES = [32, 64, 128]
 
 
 def run(npes: Optional[int] = None, sizes: Optional[Sequence[int]] = None,
-        iterations: int = 10, quick: bool = True) -> ExperimentResult:
+        iterations: Optional[int] = None, quick: bool = True
+        ) -> ExperimentResult:
     """Figures 7(a) collect and 7(b) reduce."""
     npes = npes or (QUICK_NPES if quick else FULL_NPES)
+    iterations = iterations or (10 if quick else 20)
     sizes = list(sizes) if sizes else [64, 1024, 16384]
     rows: List[list] = []
     raw = {"collect": {}, "reduce": {}}

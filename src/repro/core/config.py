@@ -76,8 +76,8 @@ class RuntimeConfig:
     #: per-PE event swarm.  Off by default — the exact engine is the
     #: reference; macro mode exists for very large scale points
     #: (Figure 5 beyond ~10^5 PEs).  Models the on-demand corner only
-    #: and is incompatible with faults, observe, check and an enabled
-    #: lifecycle (and with ``Job(trace=True)``).
+    #: and is incompatible with faults, observe, check and a lifecycle
+    #: policy (and with ``Job(trace=True)``).
     macro: bool = False
 
     def __post_init__(self) -> None:
@@ -162,7 +162,7 @@ class RuntimeConfig:
             raise ConfigError("macro mode has no flight recorder")
         if self.check is not None:
             raise ConfigError("macro mode cannot run the sanitizer")
-        if self.lifecycle is not None and self.lifecycle.enabled:
+        if self.lifecycle is not None:
             raise ConfigError("macro mode does not model connection lifecycle")
         axes = (self.connection_mode, self.pmi_mode, self.barrier_mode)
         if axes != ("ondemand", "nonblocking", "intranode"):

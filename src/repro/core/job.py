@@ -153,10 +153,7 @@ class Job:
             for r in range(npes)
         ]
         lifecycle = self.config.lifecycle
-        if (
-            lifecycle is not None and lifecycle.enabled
-            and self.config.connection_mode == "ondemand"
-        ):
+        if lifecycle is not None and self.config.connection_mode == "ondemand":
             for conduit in self.conduits:
                 conduit.install_lifecycle(lifecycle)
         self.pes = [

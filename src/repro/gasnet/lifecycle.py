@@ -57,9 +57,6 @@ class LifecyclePolicy:
       ``max_connections`` cap applies identically.
     """
 
-    #: Master switch: a disabled policy is wired nowhere (the conduit
-    #: keeps ``lifecycle is None``), pinning byte-identity trivially.
-    enabled: bool = True
     #: Victim-selection strategy.
     policy: str = "lru"
     #: Evict connections unused for this long (simulated us).
@@ -74,11 +71,6 @@ class LifecyclePolicy:
     drain_poll_us: float = 5.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.enabled, bool):
-            raise ConfigError(
-                f"LifecyclePolicy.enabled must be a bool, got "
-                f"{self.enabled!r}"
-            )
         if self.policy not in _POLICIES:
             raise ConfigError(
                 f"LifecyclePolicy.policy must be one of {_POLICIES}, "

@@ -178,10 +178,7 @@ class OnDemandConduit(Conduit):
 
     def install_lifecycle(self, policy: LifecyclePolicy) -> None:
         """Arm idle-connection reaping (connections never retire
-        otherwise).  A disabled policy is not installed at all, so
-        every lifecycle code path stays behind ``lifecycle is None``."""
-        if not policy.enabled:
-            return
+        otherwise)."""
         self.lifecycle = policy
         if self._ready and not self._reaper_started:
             self._spawn_reaper()

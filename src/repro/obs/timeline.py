@@ -71,7 +71,6 @@ class TimelineConfig:
     """Sampling parameters; frozen and hashable so it can live inside
     the frozen ``RuntimeConfig``."""
 
-    enabled: bool = True
     #: Simulated microseconds between samples.
     interval_us: float = 1000.0
     #: Raw samples aggregated into one stored window point.
@@ -121,7 +120,7 @@ def parse_observe(value: Any) -> Tuple[bool, Optional[TimelineConfig]]:
     if value is True:
         return True, None
     if isinstance(value, TimelineConfig):
-        return True, (value if value.enabled else None)
+        return True, value
     if isinstance(value, Mapping):
         unknown = sorted(k for k in value if k != "timeline")
         if unknown:
@@ -132,10 +131,9 @@ def parse_observe(value: Any) -> Tuple[bool, Optional[TimelineConfig]]:
         if timeline is False or timeline is None:
             return True, None
         if isinstance(timeline, TimelineConfig):
-            return True, (timeline if timeline.enabled else None)
+            return True, timeline
         if isinstance(timeline, Mapping):
-            cfg = TimelineConfig.from_dict(timeline)
-            return True, (cfg if cfg.enabled else None)
+            return True, TimelineConfig.from_dict(timeline)
         raise ConfigError(
             f"observe['timeline'] must be a bool, dict, or TimelineConfig, "
             f"got {timeline!r}"

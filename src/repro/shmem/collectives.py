@@ -11,7 +11,7 @@ Figure 9 measures):
   ceil(log2 P) *distinct* peers per PE with doubling message sizes
   (the "dense" collective of Figure 7a);
 * ``alltoall`` — pairwise exchange rounds (every member is a peer:
-  the densest pattern, used by the IS kernel);
+  the densest pattern);
 * the intra-node barrier of Section IV-E — pure shared memory, zero
   fabric connections.
 

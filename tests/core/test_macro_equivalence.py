@@ -152,7 +152,7 @@ def test_macro_rejects_check():
 def test_macro_rejects_lifecycle():
     with pytest.raises(ConfigError, match="lifecycle"):
         RuntimeConfig.proposed(
-            macro=True, lifecycle=LifecyclePolicy(enabled=True))
+            macro=True, lifecycle=LifecyclePolicy())
 
 
 def test_macro_rejects_ablation_corners():

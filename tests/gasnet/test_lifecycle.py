@@ -36,7 +36,7 @@ def _rc_qps_alive(rig):
 
 
 def _drive(rig, gen, name="scenario", for_us=None):
-    """Spawn and run.  With an *enabled* policy the reaper ticks until
+    """Spawn and run.  With a policy installed the reaper ticks until
     shutdown, so ``sim.run()`` never drains — bound those runs with
     ``for_us`` (relative horizon)."""
     spawn(rig.sim, gen, name=name)
@@ -52,7 +52,7 @@ def _drive(rig, gen, name="scenario", for_us=None):
 class TestLifecyclePolicy:
     def test_defaults_round_trip(self):
         policy = LifecyclePolicy()
-        assert policy.enabled and policy.policy == "lru"
+        assert policy.policy == "lru"
         assert LifecyclePolicy.from_dict(policy.as_dict()) == policy
 
     def test_validation(self):
@@ -72,6 +72,8 @@ class TestLifecyclePolicy:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown LifecyclePolicy"):
             LifecyclePolicy.from_dict({"ttl": 5})
+        with pytest.raises(ConfigError, match="unknown LifecyclePolicy"):
+            LifecyclePolicy.from_dict({"enabled": False})
 
     def test_lru_selects_only_expired_oldest_first(self):
         policy = LifecyclePolicy(idle_timeout_us=100.0)
@@ -191,22 +193,6 @@ class TestIdleEviction:
 
         _drive(rig, scenario(), for_us=20_000.0)
         assert rig.counters["conduit.evictions"] >= 1
-
-    def test_disabled_policy_is_never_installed(self):
-        rig = build_conduit_rig(
-            npes=2, lifecycle=LifecyclePolicy(enabled=False)
-        )
-        c0, c1 = rig.conduits
-        assert c0.lifecycle is None and not c0._reaper_started
-        c1.register_handler("ping", lambda src, data: None)
-
-        def scenario():
-            yield from c0.am_send(1, "ping")
-            yield 10_000.0
-
-        _drive(rig, scenario())
-        assert 1 in c0._conns  # nothing reaps without a policy
-        assert rig.counters["conduit.evictions"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.sim import Simulator
 class TestTimelineConfig:
     def test_defaults(self):
         cfg = TimelineConfig()
-        assert cfg.enabled and cfg.interval_us == 1000.0
+        assert cfg.interval_us == 1000.0
         assert cfg.window == 1 and cfg.capacity == 65536
 
     @pytest.mark.parametrize("kwargs", [
@@ -41,6 +41,8 @@ class TestTimelineConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             TimelineConfig.from_dict({"interval": 100})
+        with pytest.raises(ConfigError, match="unknown timeline config"):
+            parse_observe({"timeline": {"enabled": False}})
 
 
 class TestParseObserve:
@@ -65,11 +67,6 @@ class TestParseObserve:
         cfg = TimelineConfig(window=2)
         assert parse_observe(cfg) == (True, cfg)
         assert canonical_observe(cfg) is cfg
-
-    def test_disabled_timeline_config_means_spans_only(self):
-        cfg = TimelineConfig(enabled=False)
-        assert parse_observe(cfg) == (True, None)
-        assert canonical_observe({"timeline": cfg}) is True
 
     @pytest.mark.parametrize("value", [
         1, "yes", {"timelines": True}, {"timeline": 3},

@@ -92,16 +92,10 @@ def test_trace_matches_golden_fixture(name):
     _assert_matches_fixture(job.tracer.formatted(), FIXTURES / name)
 
 
-@pytest.mark.parametrize("lifecycle", [
-    None, LifecyclePolicy(enabled=False),
-], ids=["no-policy", "policy-disabled"])
+@pytest.mark.parametrize("lifecycle", [None], ids=["no-policy"])
 def test_ondemand_startup_trace_matches_golden_fixture(lifecycle):
-    """The pre-lifecycle golden trace, byte for byte.
-
-    The ``policy-disabled`` variant pins the lifecycle machinery's
-    off-path cost to zero: a compiled-in-but-disabled policy must not
-    shift a single timestamp or reorder a single message.
-    """
+    """The pre-lifecycle golden trace, byte for byte, built through
+    the public ``RuntimeConfig(lifecycle=None)`` path."""
     job = Job(
         npes=128,
         config=RuntimeConfig.proposed(lifecycle=lifecycle),
