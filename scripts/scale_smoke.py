@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""CI scale smoke: the calendar-queue kernel at real size, on a budget.
+"""CI scale smoke: the event kernel at real size, on a budget.
 
 Three gates, all cheap enough for every merge:
 
-1. **Order**: the 128-PE golden trace must stay byte-identical with
-   batching and the calendar queue enabled, and the same job re-run on
-   the reference heap scheduler must produce the *same bytes* — the
-   fast kernel is a constant-factor optimisation, never a semantic one.
+1. **Order**: the 128-PE golden trace, replayed with microtasks and
+   event waves enabled, must match the committed fixture byte for
+   byte — the fast paths are constant-factor optimisations, never
+   semantic ones.
 
 2. **Macro scale**: a 262,144-PE on-demand startup through the
    analytical phase-model layer (``macro=True``) must finish inside
@@ -19,9 +19,7 @@ Three gates, all cheap enough for every merge:
 3. **Scale**: a 16,384-PE on-demand startup (one fig5 scale point) on
    the exact engine must finish inside ``--budget`` wall-clock
    seconds and ``--rss-kb-per-pe`` KiB of peak RSS per simulated PE.
-   The point of the calendar-queue scheduler is that dense startup
-   waves are O(1) amortized — a regression to heap-like behaviour (or
-   an accidental O(N^2) anywhere in the startup path) blows the budget
+   An accidental O(N^2) anywhere in the startup path blows the budget
    immediately rather than surfacing months later on someone's
    65,536-PE run.  Likewise a per-PE buffer that startup never touches
    (say, an eagerly zeroed heap backing array) blows the memory
@@ -100,36 +98,25 @@ def macro_gate(npes: int, budget_s: float, rss_budget_mb: float) -> bool:
     return ok
 
 
-def _trace(scheduler: str) -> list:
-    job = Job(npes=128, config=RuntimeConfig.proposed(),
-              cluster=cluster_b(128, ppn=16), trace=True,
-              scheduler=scheduler)
-    job.run(HelloWorld())
-    return job.tracer.formatted()
-
-
 def golden_gate() -> bool:
-    print("[scale-smoke] 128-PE golden trace, calendar vs heap vs "
-          "fixture ...", flush=True)
+    print("[scale-smoke] 128-PE golden trace vs fixture ...", flush=True)
     want = GOLDEN.read_text().splitlines()
-    ok = True
-    for scheduler in ("calendar", "heap"):
-        got = _trace(scheduler)
-        if got != want:
-            ok = False
-            for i, (g, w) in enumerate(zip(got, want)):
-                if g != w:
-                    print(f"[scale-smoke] {scheduler}: trace diverges at "
-                          f"line {i + 1}:\n  got:  {g}\n  want: {w}",
-                          flush=True)
-                    break
-            else:
-                print(f"[scale-smoke] {scheduler}: trace length "
-                      f"{len(got)} != fixture {len(want)}", flush=True)
-        else:
-            print(f"[scale-smoke] {scheduler}: {len(got)} lines, "
-                  "byte-identical", flush=True)
-    return ok
+    job = Job(npes=128, config=RuntimeConfig.proposed(),
+              cluster=cluster_b(128, ppn=16), trace=True)
+    job.run(HelloWorld())
+    got = job.tracer.formatted()
+    if got == want:
+        print(f"[scale-smoke] {len(got)} lines, byte-identical", flush=True)
+        return True
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            print(f"[scale-smoke] trace diverges at line {i + 1}:\n"
+                  f"  got:  {g}\n  want: {w}", flush=True)
+            break
+    else:
+        print(f"[scale-smoke] trace length {len(got)} != fixture "
+              f"{len(want)}", flush=True)
+    return False
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,7 @@ from ..tables import fmt_ratio, fmt_us
 FULL_SIZES = [128, 256, 512, 1024, 2048, 4096, 8192]
 QUICK_SIZES = [128, 512, 2048]
 #: Beyond-the-paper extrapolation sizes for the on-demand design (the
-#: calendar-queue kernel runs 65,536 PEs in minutes on one core; the
+#: exact event kernel runs 65,536 PEs in minutes on one core; the
 #: macro phase models carry the curve to 1,048,576).  The static
 #: design is deliberately absent: its all-pairs wireup needs O(N^2)
 #: simulated QPs — 4.3 billion at 65,536 — which is neither tractable

@@ -8,13 +8,12 @@ cannot help the static scheme).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from ..check import CheckPlan
-from ..errors import ConfigError
+from ..errors import ConfigError, require_positive_real
 from ..faults import FaultPlan
 from ..gasnet import LifecyclePolicy
 from ..obs.timeline import canonical_observe
@@ -92,22 +91,8 @@ class RuntimeConfig:
                 f"piggyback_segments must be a bool, "
                 f"got {self.piggyback_segments!r}"
             )
-        if not (
-            isinstance(self.heap_mb, numbers.Real)
-            and math.isfinite(self.heap_mb) and self.heap_mb > 0
-        ):
-            raise ConfigError(
-                f"heap_mb must be finite and positive, got {self.heap_mb!r}"
-            )
-        if not (
-            isinstance(self.heap_backing_kb, numbers.Real)
-            and math.isfinite(self.heap_backing_kb)
-            and self.heap_backing_kb > 0
-        ):
-            raise ConfigError(
-                f"heap_backing_kb must be finite and positive, "
-                f"got {self.heap_backing_kb!r}"
-            )
+        require_positive_real("heap_mb", self.heap_mb)
+        require_positive_real("heap_backing_kb", self.heap_backing_kb)
         if (
             not isinstance(self.seed, numbers.Integral)
             or isinstance(self.seed, bool) or self.seed < 0

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from ..check import Sanitizer
 from ..cluster import Cluster, cluster_a
-from ..errors import ConfigError, InvariantViolation
+from ..errors import ConfigError, InvariantViolation, require_positive_int
 from ..faults import FaultInjector
 from ..gasnet import ConduitNetwork, OnDemandConduit, StaticConduit
 from ..gasnet.conduit import install_timeline_probes as _conduit_probes
@@ -49,11 +49,9 @@ class Job:
         npes: int,
         config: Optional[RuntimeConfig] = None,
         cluster: Optional[Cluster] = None,
-        scheduler: str = "calendar",
         trace: bool = False,
     ) -> None:
-        if npes < 1:
-            raise ConfigError("npes must be >= 1")
+        require_positive_int("npes", npes)
         self.config = config or RuntimeConfig.proposed()
         self.cluster = cluster if cluster is not None else cluster_a(npes)
         if self.cluster.npes != npes:
@@ -80,7 +78,7 @@ class Job:
             return
 
         # -- machine assembly ------------------------------------------
-        self.sim = Simulator(scheduler=scheduler)
+        self.sim = Simulator()
         #: Flight recorder (spans + metrics registry, optionally the
         #: timeline sampler); None unless the config sets observe=True
         #: / observe={"timeline": ...}.  Every substrate holds an
@@ -226,7 +224,7 @@ class Job:
             all_done_at[rank] = self.sim.now
 
         # The launch broadcast is one aggregate wave: every PE main
-        # takes its first step from a single scheduler entry instead of
+        # takes its first step from a single heap entry instead of
         # npes individual queue hops (order unchanged — see spawn_batch).
         procs = spawn_batch(
             self.sim, ((pe_main(r), f"pe{r}") for r in range(self.npes))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+from typing import Any
+
 __all__ = [
     "ReproError",
     "VerbsError",
@@ -15,6 +19,8 @@ __all__ = [
     "MPIError",
     "ConfigError",
     "InvariantViolation",
+    "require_positive_real",
+    "require_positive_int",
 ]
 
 
@@ -61,6 +67,25 @@ class MPIError(ReproError):
 
 class ConfigError(ReproError):
     """Invalid runtime configuration."""
+
+
+def require_positive_real(name: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a finite real > 0."""
+    if not (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
+    ):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_positive_int(name: str, value: Any) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer >= 1
+    (bools refused)."""
+    if not (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        and value >= 1
+    ):
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class InvariantViolation(ReproError):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_positive_int
 from .identity import spec_identity
 
 __all__ = ["JobSpec", "SweepError", "execute", "resolve_workers",
@@ -103,15 +103,14 @@ class JobSpec:
     cost_overrides: Optional[Tuple[Tuple[str, Any], ...]] = None
 
     def __post_init__(self) -> None:
-        if self.npes < 1:
-            raise ConfigError(f"JobSpec.npes must be >= 1, got {self.npes}")
+        require_positive_int("JobSpec.npes", self.npes)
         if self.testbed not in _TESTBEDS:
             raise ConfigError(
                 f"JobSpec.testbed must be one of {_TESTBEDS}, "
                 f"got {self.testbed!r}"
             )
-        if self.ppn is not None and self.ppn < 1:
-            raise ConfigError(f"JobSpec.ppn must be >= 1, got {self.ppn}")
+        if self.ppn is not None:
+            require_positive_int("JobSpec.ppn", self.ppn)
         overrides = self.cost_overrides
         if isinstance(overrides, Mapping):
             overrides = tuple(sorted(overrides.items()))

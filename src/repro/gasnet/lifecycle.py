@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_positive_int, require_positive_real
 
 __all__ = ["LifecyclePolicy", "select_victims"]
 
@@ -76,18 +76,13 @@ class LifecyclePolicy:
                 f"LifecyclePolicy.policy must be one of {_POLICIES}, "
                 f"got {self.policy!r}"
             )
-        if self.idle_timeout_us <= 0:
-            raise ConfigError("LifecyclePolicy.idle_timeout_us must be > 0")
-        if self.scan_interval_us <= 0:
-            raise ConfigError("LifecyclePolicy.scan_interval_us must be > 0")
-        if self.max_connections is not None and self.max_connections < 1:
-            raise ConfigError(
-                "LifecyclePolicy.max_connections must be >= 1 or None"
-            )
-        if self.credits < 1:
-            raise ConfigError("LifecyclePolicy.credits must be >= 1")
-        if self.drain_poll_us <= 0:
-            raise ConfigError("LifecyclePolicy.drain_poll_us must be > 0")
+        for name in ("idle_timeout_us", "scan_interval_us", "drain_poll_us"):
+            require_positive_real(f"LifecyclePolicy.{name}",
+                                  getattr(self, name))
+        if self.max_connections is not None:
+            require_positive_int("LifecyclePolicy.max_connections",
+                                 self.max_connections)
+        require_positive_int("LifecyclePolicy.credits", self.credits)
 
     # -- config round-trip ---------------------------------------------
     @classmethod

@@ -51,7 +51,7 @@ from typing import (
     Tuple,
 )
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_positive_int, require_positive_real
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
@@ -80,18 +80,9 @@ class TimelineConfig:
     capacity: int = 65536
 
     def __post_init__(self) -> None:
-        if self.interval_us <= 0:
-            raise ConfigError(
-                f"timeline interval_us must be positive, got {self.interval_us}"
-            )
-        if self.window < 1:
-            raise ConfigError(
-                f"timeline window must be >= 1, got {self.window}"
-            )
-        if self.capacity < 1:
-            raise ConfigError(
-                f"timeline capacity must be >= 1, got {self.capacity}"
-            )
+        require_positive_real("timeline interval_us", self.interval_us)
+        require_positive_int("timeline window", self.window)
+        require_positive_int("timeline capacity", self.capacity)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TimelineConfig":

@@ -268,9 +268,9 @@ class PMIDomain:
             )
         # Release local waiters after the daemon finished its down work.
         # All waiters share one release instant, so the whole fence wave
-        # goes out as a single aggregate: one scheduler entry, one
+        # goes out as a single aggregate: one heap entry, one
         # contiguous seq block — byte-identical order to the former
-        # per-waiter scheduling loop (see repro.sim.calendar).
+        # per-waiter scheduling loop (see repro.sim.wave).
         release_at = max(when, daemon.busy_until) + self.cost.pmi_local_rtt_us / 2
         if state.waiters:
             self.sim.schedule_wave(

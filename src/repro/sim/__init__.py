@@ -5,7 +5,6 @@ event loop, :mod:`repro.sim.process` for generator-coroutine processes,
 and :mod:`repro.sim.sync` for synchronisation primitives.
 """
 
-from .calendar import CalendarQueue, HeapQueue, Wave
 from .engine import AllOf, AnyOf, SimEvent, SimulationError, Simulator, Timeout, Waitable
 from .process import Process, ProcessFailure, spawn, spawn_batch
 from .profile import KernelProfile
@@ -25,9 +24,6 @@ __all__ = [
     "ProcessFailure",
     "spawn",
     "spawn_batch",
-    "CalendarQueue",
-    "HeapQueue",
-    "Wave",
     "KernelProfile",
     "Mailbox",
     "Semaphore",

@@ -1,4 +1,4 @@
-"""Discrete-event simulation core: clock, scheduler, waitables.
+"""Discrete-event simulation core: clock, event queues, waitables.
 
 The engine is deliberately tiny and deterministic.  Simulated time is a
 ``float`` in *microseconds*.  Events scheduled for the same timestamp
@@ -8,34 +8,28 @@ reproducible.
 
 Fast paths
 ----------
-Zero-delay work (waitable callback dispatch, ``call_soon``, process
-continuations) dominates event volume, so it bypasses the global
-scheduler: a FIFO **microtask queue** holds ``(seq, fn, arg)`` entries
-that are drained in ``(time, seq)`` order merged against the timed
-queue.  Because every microtask carries the same sequence counter the
-scheduler uses, the execution order is *identical* to scheduling
-everything through one heap — the golden-trace tests in ``tests/sim``
-pin this down — while a ``deque`` append/popleft replaces a
-``heappush``/``heappop`` pair and no closure or tuple payload is
-allocated per hop.
-
-Timed events go through a pluggable scheduler (``scheduler=`` ctor
-argument): the default :class:`~repro.sim.calendar.CalendarQueue`
-(day buckets + near heap + overflow heap, O(1) amortized insert for
-the dense startup regime) or the original single binary heap
-(``scheduler="heap"``), kept as reference for byte-identity tests.
+Timed events live in one binary heap of ``(time, seq, fn, arg)``
+entries.  Zero-delay work (waitable callback dispatch, ``call_soon``,
+process continuations) dominates event volume, so it bypasses the
+heap: a FIFO **microtask queue** holds ``(seq, fn, arg)`` entries that
+are drained in ``(time, seq)`` order merged against the heap.  Because
+every microtask carries the same sequence counter timed events use,
+the execution order is *identical* to scheduling everything through
+the heap — the golden-trace tests in ``tests/sim`` pin this down —
+while a ``deque`` append/popleft replaces a ``heappush``/``heappop``
+pair and no closure or tuple payload is allocated per hop.
 
 Homogeneous event storms — a PMI fence releasing a whole wave of
 waiters, ``start_pes`` launching every PE — can be scheduled as one
 :meth:`Simulator.schedule_wave` aggregate: a contiguous block of seq
 numbers is reserved and the members dispatch in batch from a single
-scheduler entry, in exactly the order N independent entries would
-have (see :mod:`repro.sim.calendar` for the argument).
+heap entry, in exactly the order N independent entries would have
+(see :mod:`repro.sim.wave` for the argument).
 
 The public surface is:
 
-* :class:`Simulator` -- owns the clock, the timed-event scheduler and
-  the microtask queue.
+* :class:`Simulator` -- owns the clock, the timed-event heap and the
+  microtask queue.
 * :class:`Waitable` -- anything a process generator may ``yield``.
 * :class:`SimEvent` -- a one-shot event that can be succeeded or failed.
 * :class:`Timeout` -- fires after a fixed simulated delay.
@@ -45,12 +39,10 @@ The public surface is:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
+from heapq import heappop, heappush
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
-import numpy as np
-
-from .calendar import WAVE_KEY_DTYPE, CalendarQueue, HeapQueue, Wave
+from .wave import Wave
 
 __all__ = [
     "Simulator",
@@ -190,8 +182,8 @@ class Timeout(Waitable):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN
+            raise ValueError(f"negative or NaN timeout delay: {delay}")
         super().__init__(sim)
         self.delay = float(delay)
         sim._schedule_at(sim.now + self.delay, self._fire, value)
@@ -272,58 +264,36 @@ class AllOf(_Composite):
 
 
 class Simulator:
-    """The event loop: a clock, a timed-event scheduler of
-    ``(time, seq, fn, arg)`` entries and a FIFO microtask queue of
-    ``(seq, fn, arg)`` zero-delay entries.
+    """The event loop: a clock, a binary heap of ``(time, seq, fn, arg)``
+    timed entries and a FIFO microtask queue of ``(seq, fn, arg)``
+    zero-delay entries."""
 
-    ``scheduler`` selects the timed-event backend: ``"calendar"`` (the
-    default :class:`~repro.sim.calendar.CalendarQueue`) or ``"heap"``
-    (the original single binary heap).  Both dispatch in exactly the
-    same ``(time, seq)`` order; the knob exists for A/B byte-identity
-    tests and as an escape hatch.
-    """
-
-    def __init__(self, scheduler: str = "calendar",
-                 calendar_width_us: float = 512.0,
-                 calendar_horizon_days: int = 4096) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        if scheduler == "calendar":
-            self._sched = CalendarQueue(
-                width_us=calendar_width_us,
-                horizon_days=calendar_horizon_days,
-            )
-        elif scheduler == "heap":
-            self._sched = HeapQueue()
-        else:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r} (use 'calendar' or 'heap')"
-            )
-        self.scheduler = scheduler
-        #: Direct reference to the scheduler's stable peek list (see
-        #: HeapQueue.near): inline ``near[0]`` peeks — and direct
-        #: ``heappop`` pops — on the hot paths.
-        self._near = self._sched.near
-        self._push = self._sched.push
+        #: Timed events.  Stable identity for the simulator's lifetime:
+        #: hot paths keep a direct reference for inline ``heap[0]`` peeks.
+        self._heap: List[tuple] = []
         self._micro: deque = deque()
         self._seq = 0
         #: True while a Wave is dispatching its member batch — the
         #: process trampoline must not inline-resume then, because the
         #: remaining members are not visible in any queue.
         self._wave_active = False
-        #: Undispatched wave members beyond the one scheduler entry per
-        #: wave (keeps :attr:`pending_events` truthful).
+        #: Undispatched wave members beyond the one heap entry per wave
+        #: (keeps :attr:`pending_events` truthful).
         self._wave_extra = 0
         #: Opt-in profiling hook (see :mod:`repro.sim.profile`).
         self._prof = None
 
     # -- low-level scheduling ------------------------------------------
     def _schedule_at(self, when: float, fn: Callable, arg: Any = None) -> None:
-        if when < self.now:
+        if not when >= self.now:  # also rejects NaN
             raise SimulationError(
-                f"cannot schedule in the past ({when} < now={self.now})"
+                f"cannot schedule in the past or at NaN "
+                f"({when} vs now={self.now})"
             )
         self._seq += 1
-        self._push(when, self._seq, fn, arg)
+        heappush(self._heap, (when, self._seq, fn, arg))
         if self._prof is not None:
             self._prof._record(fn, False)
 
@@ -340,59 +310,32 @@ class Simulator:
         """
         self._schedule_at(when, fn, arg)
 
-    def schedule_wave(self, when: Union[float, Sequence[float], np.ndarray],
-                      fn: Callable[[Any], None],
-                      args: Sequence[Any]) -> Optional[Wave]:
-        """Schedule ``fn(arg)`` for every ``arg`` as one aggregate.
+    def schedule_wave(self, when: float, fn: Callable[[Any], None],
+                      args: Sequence[Any]) -> None:
+        """Schedule ``fn(arg)`` at ``when`` for every ``arg`` as one
+        aggregate.
 
-        ``when`` is either a single timestamp (all members fire at the
-        same instant) or a non-decreasing array of per-member
-        timestamps (an *affine* wave — e.g. release times computed in
-        one vectorized cost evaluation).  A contiguous block of
-        ``len(args)`` sequence numbers is reserved, so dispatch order
-        is byte-identical to ``len(args)`` separate ``_schedule_at``
-        calls made back-to-back — at a single scheduler entry's cost.
-
-        Returns the :class:`~repro.sim.calendar.Wave` (supports member
-        cancellation), or ``None`` for an empty ``args`` (no seq
-        numbers consumed, matching a zero-iteration scheduling loop).
+        A contiguous block of ``len(args)`` sequence numbers is
+        reserved, so dispatch order is byte-identical to ``len(args)``
+        separate ``_schedule_at`` calls made back-to-back — at a single
+        heap entry's cost.  An empty ``args`` consumes no sequence
+        numbers, matching a zero-iteration scheduling loop.
         """
         n = len(args)
         if n == 0:
-            return None
-        keys = np.empty(n, dtype=WAVE_KEY_DTYPE)
-        if isinstance(when, (float, int)):
-            when0 = float(when)
-            if when0 < self.now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({when0} < now={self.now})"
-                )
-            keys["when"] = when0
-            uniform = True
-        else:
-            whens = np.asarray(when, dtype=np.float64)
-            if whens.shape != (n,):
-                raise ValueError(
-                    f"wave times shape {whens.shape} != ({n},)"
-                )
-            if whens[0] < self.now:
-                raise SimulationError(
-                    f"cannot schedule in the past ({whens[0]} < now={self.now})"
-                )
-            if n > 1 and bool(np.any(np.diff(whens) < 0)):
-                raise ValueError("wave member times must be non-decreasing")
-            keys["when"] = whens
-            when0 = float(whens[0])
-            uniform = bool(whens[0] == whens[-1])
+            return
+        if not when >= self.now:  # also rejects NaN
+            raise SimulationError(
+                f"cannot schedule in the past or at NaN "
+                f"({when} vs now={self.now})"
+            )
         seq0 = self._seq + 1
         self._seq += n
-        keys["seq"] = np.arange(seq0, seq0 + n, dtype=np.int64)
-        wave = Wave(self, fn, args, keys, uniform)
-        self._push(when0, seq0, wave._dispatch, None)
+        wave = Wave(self, when, seq0, fn, args)
+        heappush(self._heap, (when, seq0, wave._dispatch, None))
         self._wave_extra += n - 1
         if self._prof is not None:
             self._prof._record_wave(fn, n)
-        return wave
 
     def _call_soon(self, fn: Callable[[Any], None], arg: Any = None) -> None:
         """Schedule ``fn(arg)`` at the current time via the microtask
@@ -441,25 +384,23 @@ class Simulator:
         Microtasks and timed events interleave in exact ``(time, seq)``
         order, so draining via ``step`` is indistinguishable from a
         single global heap.  A wave entry counts as one step per
-        same-time member batch.
+        member batch.
         """
         micro = self._micro
-        near = self._near
+        heap = self._heap
         if micro:
-            # An entry outside ``near`` is in a later calendar day and
-            # cannot be due now, so the merge check peeks only ``near``.
-            if near:
-                top = near[0]
+            if heap:
+                top = heap[0]
                 if top[0] == self.now and top[1] < micro[0][0]:
-                    heappop(near)
+                    heappop(heap)
                     top[2](top[3])
                     return
             entry = micro.popleft()
             entry[1](entry[2])
             return
-        if self._sched.head() is None:
+        if not heap:
             raise SimulationError("no pending events")
-        when, _seq, fn, arg = heappop(near)
+        when, _seq, fn, arg = heappop(heap)
         self.now = when
         fn(arg)
 
@@ -472,29 +413,25 @@ class Simulator:
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} is in the past (now={self.now})")
         micro = self._micro
-        near = self._near
-        head = self._sched.head
+        heap = self._heap
         while True:
             if micro:
-                # Merge against same-time timed events by sequence
-                # number.  Peeking only ``near`` is exact: anything the
-                # calendar holds outside it is in a strictly later day
-                # and cannot tie with ``now``.
-                if near:
-                    top = near[0]
+                # Merge against same-time timed events by sequence number.
+                if heap:
+                    top = heap[0]
                     if top[0] == self.now and top[1] < micro[0][0]:
-                        heappop(near)
+                        heappop(heap)
                         top[2](top[3])
                         continue
                 _seq, fn, arg = micro.popleft()
                 fn(arg)
             else:
-                if not near and head() is None:
+                if not heap:
                     break
-                if until is not None and near[0][0] > until:
+                if until is not None and heap[0][0] > until:
                     self.now = until
                     return self.now
-                when, _seq, fn, arg = heappop(near)
+                when, _seq, fn, arg = heappop(heap)
                 self.now = when
                 fn(arg)
         if until is not None:
@@ -504,4 +441,4 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Pending work items, counting every undispatched wave member."""
-        return len(self._sched) + len(self._micro) + self._wave_extra
+        return len(self._heap) + len(self._micro) + self._wave_extra

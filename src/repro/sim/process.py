@@ -96,7 +96,7 @@ class Process(Waitable):
         # Both queues have stable identity for the simulator's lifetime,
         # so one load each serves every trampoline iteration.
         micro = sim._micro
-        near = sim._near
+        heap = sim._heap
         while True:
             try:
                 target = gen_send(send_value)
@@ -114,11 +114,10 @@ class Process(Waitable):
                     sim._schedule_at(sim.now + target, self._step_value, None)
                     return
                 if target == 0:
-                    # ``near`` empty ⇒ no timed event due now (later
-                    # calendar days only); wave-active ⇒ undispatched
-                    # members are invisible here, so never trampoline.
+                    # Wave-active ⇒ undispatched members are invisible
+                    # here, so never trampoline.
                     if (not micro and not sim._wave_active
-                            and (not near or near[0][0] > sim.now)):
+                            and (not heap or heap[0][0] > sim.now)):
                         send_value = None
                         continue  # trampoline: nothing can interleave
                     sim._call_soon(self._step_value, None)
@@ -131,7 +130,7 @@ class Process(Waitable):
                     # the mailbox, semaphore free, barrier released...).
                     exc = target._exc
                     if (not micro and not sim._wave_active
-                            and (not near or near[0][0] > sim.now)):
+                            and (not heap or heap[0][0] > sim.now)):
                         if exc is None:
                             send_value = target._value
                             continue  # trampoline
@@ -239,7 +238,7 @@ def spawn_batch(sim: Simulator,
     byte-identically to a loop of :func:`spawn` calls (the wave
     reserves the same contiguous block of sequence numbers the loop's
     per-process ``_call_soon`` entries would have consumed), but the
-    kernel pays one scheduler entry for the whole broadcast — this is
+    kernel pays one heap entry for the whole broadcast — this is
     the ``start_pes`` launch storm fast path.
     """
     procs = [Process(sim, gen, name=name, _defer_start=True)

@@ -77,6 +77,12 @@ class TestJob:
         with pytest.raises(ConfigError):
             Job(npes=0)
 
+    @pytest.mark.parametrize("npes", [2.5, "8", True],
+                             ids=["float", "str", "bool"])
+    def test_non_integer_npes_rejected(self, npes):
+        with pytest.raises(ConfigError, match="npes must be an integer"):
+            Job(npes=npes)
+
     def test_cluster_size_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             Job(npes=8, cluster=cluster_a(16))

@@ -2,8 +2,8 @@
 
 ``RuntimeConfig(macro=True)`` replaces the per-PE generator swarm with
 closed forms.  It models the paper's proposed (on-demand) corner only.
-The contract is that at 128 and 512 PEs, on both cluster presets and
-both schedulers, the macro layer reproduces the exact DES's:
+The contract is that at 128 and 512 PEs, on both cluster presets, the
+macro layer reproduces the exact DES's:
 
 * ``StartupReport`` (per-phase means and totals) — bit for bit;
 * ``app_done_us`` and per-PE ``app_results``;
@@ -55,27 +55,25 @@ STARTUP_COUNTERS = (
 _cache = {}
 
 
-def _run(npes, testbed, scheduler, macro):
+def _run(npes, testbed, macro):
     """Run (and memoize) one job; exact runs dominate the suite cost."""
-    key = (npes, testbed, scheduler, macro)
+    key = (npes, testbed, macro)
     if key not in _cache:
         job = Job(
             npes=npes,
             config=RuntimeConfig.proposed(macro=macro),
             cluster=CLUSTERS[testbed](npes),
-            scheduler=scheduler,
         )
         _cache[key] = job.run(HelloWorld())
     return _cache[key]
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 @pytest.mark.parametrize("testbed", ["A", "B"])
 @pytest.mark.parametrize("corner", ["ondemand"])
 @pytest.mark.parametrize("npes", [128, 512])
-def test_macro_matches_exact(npes, corner, testbed, scheduler):
-    exact = _run(npes, testbed, scheduler, macro=False)
-    macro = _run(npes, testbed, scheduler, macro=True)
+def test_macro_matches_exact(npes, corner, testbed):
+    exact = _run(npes, testbed, macro=False)
+    macro = _run(npes, testbed, macro=True)
 
     assert macro.macro is True and exact.macro is False
     # The whole StartupReport dataclass: phase means (insertion order
@@ -103,7 +101,7 @@ def test_macro_via_config_flag(corner):
     assert job.macro is True and job.sim is None
     result = job.run(HelloWorld())
     assert result.macro is True
-    assert result.startup == _run(128, "B", "calendar", False).startup
+    assert result.startup == _run(128, "B", False).startup
 
 
 def test_golden_trace_byte_identical_with_macro_off():

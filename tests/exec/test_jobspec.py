@@ -30,6 +30,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             _spec(ppn=0)
 
+    @pytest.mark.parametrize("field", ["npes", "ppn"])
+    @pytest.mark.parametrize("value", [2.5, "8", True],
+                             ids=["float", "str", "bool"])
+    def test_non_integer_sizes_rejected_at_construction(self, field, value):
+        with pytest.raises(ConfigError,
+                           match=f"JobSpec.{field} must be an integer"):
+            _spec(**{field: value})
+
 
 class TestNormalisation:
     def test_cost_overrides_mapping_becomes_sorted_tuple(self):

@@ -34,8 +34,7 @@ class CRig:
 
 def build_conduit_rig(npes=2, ppn=1, mode="on-demand", cost=None, seed=3,
                       ready=True, faults=None, trace=False,
-                      pmi_directory=False, check=None, lifecycle=None,
-                      scheduler="calendar"):
+                      pmi_directory=False, check=None, lifecycle=None):
     """Assemble conduits with endpoints initialised and directory set.
 
     With ``ready=True`` every conduit is marked ready and the UD
@@ -50,7 +49,7 @@ def build_conduit_rig(npes=2, ppn=1, mode="on-demand", cost=None, seed=3,
     the whole conduit suite doubles as a sanitizer soak).
     """
     cost = cost or CostModel().evolve(ud_loss_prob=0.0, ud_duplicate_prob=0.0)
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     cluster = Cluster(npes=npes, ppn=ppn, cost=cost, name="crig")
     counters = Counters()
     rng = RngRegistry(seed)

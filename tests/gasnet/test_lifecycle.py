@@ -5,7 +5,7 @@ test_ondemand_protocol covers establishment: policy selection as a pure
 function, reaper-driven eviction, transparent reconnect-after-evict,
 the Disconnect/DisconnectAck retry-and-idempotence discipline under
 fault plans, and both collision shapes (disconnect-vs-connect and
-disconnect-vs-disconnect) on both schedulers.
+disconnect-vs-disconnect).
 """
 
 import pytest
@@ -68,6 +68,25 @@ class TestLifecyclePolicy:
             LifecyclePolicy(credits=0)
         with pytest.raises(ConfigError, match="drain_poll_us"):
             LifecyclePolicy(drain_poll_us=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("scan_interval_us", float("nan"), "finite and positive, got nan"),
+        ("idle_timeout_us", float("nan"), "finite and positive, got nan"),
+        ("drain_poll_us", float("inf"), "finite and positive, got inf"),
+        ("scan_interval_us", "5", "finite and positive, got '5'"),
+        ("credits", 2.5, "integer >= 1, got 2.5"),
+        ("credits", True, "integer >= 1, got True"),
+        ("max_connections", 1.5, "integer >= 1, got 1.5"),
+        ("max_connections", "8", "integer >= 1, got '8'"),
+    ])
+    def test_rejects_bad_numbers_in_one_line(self, field, value, message):
+        """A NaN scan interval would otherwise reach the event queue
+        from the reaper; a string would raise a bare TypeError."""
+        with pytest.raises(ConfigError,
+                           match=f"LifecyclePolicy.{field} must be") as info:
+            LifecyclePolicy(**{field: value})
+        assert str(info.value).endswith(message)
+        assert "\n" not in str(info.value)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown LifecyclePolicy"):
@@ -269,11 +288,10 @@ class TestDrainHandshakeFaults:
 
 
 # ----------------------------------------------------------------------
-# collisions (both schedulers: heap vs calendar event ordering)
+# collisions
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 class TestCollisions:
-    def test_connect_request_during_drain_is_parked(self, scheduler):
+    def test_connect_request_during_drain_is_parked(self):
         """Disconnect-vs-ConnectRequest collision: PE 1 drains the pair
         but its DisconnectAck from PE 0 is lost, so PE 1 keeps
         retrying; PE 0 (its half already quiesced and gone) reconnects
@@ -285,8 +303,8 @@ class TestCollisions:
             name="late-ack",
             ud=(UDFault("drop", kind="DisconnectAck", first_n=1),),
         )
-        rig = build_conduit_rig(npes=2, cost=cost, scheduler=scheduler,
-                                faults=plan, check=True)
+        rig = build_conduit_rig(npes=2, cost=cost, faults=plan,
+                                check=True)
         c0, c1 = rig.conduits
         pings = []
         c1.register_handler("ping", lambda src, data: pings.append(data))
@@ -323,10 +341,9 @@ class TestCollisions:
         assert c0._conn_gens[1] == 2 and c1._conn_gens[0] == 2
         assert rig.check.violations == []
 
-    def test_disconnect_disconnect_collision_lower_rank_wins(self, scheduler):
+    def test_disconnect_disconnect_collision_lower_rank_wins(self):
         cost = CostModel().evolve(**FAST_RETRY)
-        rig = build_conduit_rig(npes=2, cost=cost, scheduler=scheduler,
-                                check=True)
+        rig = build_conduit_rig(npes=2, cost=cost, check=True)
         c0, c1 = rig.conduits
         c1.register_handler("ping", lambda src, data: None)
 

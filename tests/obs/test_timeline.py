@@ -34,6 +34,22 @@ class TestTimelineConfig:
         with pytest.raises(ConfigError):
             TimelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("interval_us", float("nan"), "finite and positive, got nan"),
+        ("interval_us", float("inf"), "finite and positive, got inf"),
+        ("interval_us", "5", "finite and positive, got '5'"),
+        ("window", 1.5, "integer >= 1, got 1.5"),
+        ("window", True, "integer >= 1, got True"),
+        ("capacity", "8", "integer >= 1, got '8'"),
+    ])
+    def test_rejects_bad_numbers_in_one_line(self, field, value, message):
+        """A NaN interval would otherwise reach the event queue from
+        the sampler; a string would raise a bare TypeError."""
+        with pytest.raises(ConfigError, match=f"{field} must be") as info:
+            TimelineConfig(**{field: value})
+        assert str(info.value).endswith(message)
+        assert "\n" not in str(info.value)
+
     def test_from_dict_round_trip(self):
         cfg = TimelineConfig(interval_us=500.0, window=4, capacity=128)
         assert TimelineConfig.from_dict(cfg.as_dict()) == cfg

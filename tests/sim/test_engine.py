@@ -225,3 +225,26 @@ def test_call_soon_runs_at_current_time():
     spawn(sim, proc(sim))
     sim.run()
     assert seen == [4.0]
+
+
+@pytest.mark.parametrize("when", [float("nan"), -1.0],
+                         ids=["nan", "past"])
+def test_bad_event_time_rejected(when):
+    """A NaN time would silently break heap order; a past one breaks
+    causality.  Both fail at the scheduling call, before touching the
+    heap."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim._schedule_at(when, lambda a: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_wave(when, lambda a: None, [0, 1])
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1.0],
+                         ids=["nan", "negative"])
+def test_bad_timeout_delay_rejected(delay):
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(delay)
+    assert sim.pending_events == 0

@@ -106,23 +106,21 @@ def test_ondemand_startup_trace_matches_golden_fixture(lifecycle):
     _assert_matches_fixture(job.tracer.formatted(), FIXTURE)
 
 
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 @pytest.mark.parametrize("observe", [
     False, {"timeline": True},
 ], ids=["unobserved", "timeline"])
-def test_trace_is_byte_identical_with_timeline_sampling(scheduler, observe):
+def test_trace_is_byte_identical_with_timeline_sampling(observe):
     """The timeline sampler has zero effect on simulated time.
 
     Its tick events consume sequence numbers, but seq only breaks
     same-time ties and the probes are pure reads — so the golden trace
-    must stay byte-identical with sampling on, under both schedulers.
+    must stay byte-identical with sampling on.
     """
     job = Job(
         npes=128,
         config=RuntimeConfig.proposed(observe=observe),
         cluster=cluster_b(128, ppn=16),
         trace=True,
-        scheduler=scheduler,
     )
     result = job.run(HelloWorld())
     _assert_matches_fixture(job.tracer.formatted(), FIXTURE)
