@@ -40,6 +40,32 @@ def build_rig(npes: int = 2, ppn: int = 1, cost: CostModel = None, seed: int = 7
     return Rig(sim, cluster, fabric, counters, hcas, ctxs)
 
 
+def _schedule_members(self, when, fn, args):
+    """``Simulator.schedule_wave`` unfolded: one heap entry per member."""
+    for arg in args:
+        self._schedule_at(when, fn, arg)
+
+
+@pytest.fixture
+def event_waves(request, monkeypatch):
+    """How wave members reach the heap (parametrize indirectly).
+
+    ``True`` keeps the engine's aggregate waves; ``False`` swaps
+    :meth:`Simulator.schedule_wave` for a loop that pushes one heap
+    entry per member — the order every wave must reproduce.
+    """
+    if not request.param:
+        monkeypatch.setattr(Simulator, "schedule_wave", _schedule_members)
+    return request.param
+
+
+#: Run a test once with aggregate waves and once with one heap entry
+#: per member.  The ids keep the names these cases carried when they
+#: compared the calendar queue (which held the waves) with the heap.
+both_wave_forms = pytest.mark.parametrize(
+    "event_waves", [True, False], ids=["calendar", "heap"], indirect=True)
+
+
 @pytest.fixture
 def rig2():
     """Two PEs on two nodes, lossless UD."""

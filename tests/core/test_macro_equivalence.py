@@ -2,8 +2,9 @@
 
 ``RuntimeConfig(macro=True)`` replaces the per-PE generator swarm with
 closed forms.  It models the paper's proposed (on-demand) corner only.
-The contract is that at 128 and 512 PEs, on both cluster presets, the
-macro layer reproduces the exact DES's:
+The contract is that at 128 and 512 PEs, on both cluster presets, with
+the exact engine's event waves batched or unfolded into one heap entry
+per member, the macro layer reproduces the exact DES's:
 
 * ``StartupReport`` (per-phase means and totals) — bit for bit;
 * ``app_done_us`` and per-PE ``app_results``;
@@ -34,6 +35,8 @@ from repro.faults import FaultPlan
 from repro.faults.plan import UDFault
 from repro.gasnet import LifecyclePolicy
 
+from ..conftest import both_wave_forms
+
 GOLDEN = Path(__file__).parent.parent / "data" / "golden_trace_ondemand_128.txt"
 
 CLUSTERS = {"A": cluster_a, "B": cluster_b}
@@ -55,9 +58,9 @@ STARTUP_COUNTERS = (
 _cache = {}
 
 
-def _run(npes, testbed, macro):
+def _run(npes, testbed, macro, event_waves=True):
     """Run (and memoize) one job; exact runs dominate the suite cost."""
-    key = (npes, testbed, macro)
+    key = (npes, testbed, macro, event_waves)
     if key not in _cache:
         job = Job(
             npes=npes,
@@ -68,12 +71,13 @@ def _run(npes, testbed, macro):
     return _cache[key]
 
 
+@both_wave_forms
 @pytest.mark.parametrize("testbed", ["A", "B"])
 @pytest.mark.parametrize("corner", ["ondemand"])
 @pytest.mark.parametrize("npes", [128, 512])
-def test_macro_matches_exact(npes, corner, testbed):
-    exact = _run(npes, testbed, macro=False)
-    macro = _run(npes, testbed, macro=True)
+def test_macro_matches_exact(npes, corner, testbed, event_waves):
+    exact = _run(npes, testbed, False, event_waves)
+    macro = _run(npes, testbed, True)
 
     assert macro.macro is True and exact.macro is False
     # The whole StartupReport dataclass: phase means (insertion order

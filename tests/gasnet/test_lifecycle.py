@@ -5,7 +5,8 @@ test_ondemand_protocol covers establishment: policy selection as a pure
 function, reaper-driven eviction, transparent reconnect-after-evict,
 the Disconnect/DisconnectAck retry-and-idempotence discipline under
 fault plans, and both collision shapes (disconnect-vs-connect and
-disconnect-vs-disconnect).
+disconnect-vs-disconnect), launched as one wave and as one heap entry
+per racer.
 """
 
 import pytest
@@ -15,8 +16,9 @@ from repro.cluster import CostModel
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, UDFault
 from repro.gasnet import LifecyclePolicy, select_victims
-from repro.sim import spawn
+from repro.sim import spawn, spawn_batch
 
+from ..conftest import both_wave_forms
 from .conftest import build_conduit_rig
 
 FAST_RETRY = dict(ud_loss_prob=0.0, ud_duplicate_prob=0.0,
@@ -288,8 +290,10 @@ class TestDrainHandshakeFaults:
 
 
 # ----------------------------------------------------------------------
-# collisions
+# collisions (racers launched as a wave and as separate heap entries)
 # ----------------------------------------------------------------------
+@both_wave_forms
+@pytest.mark.usefixtures("event_waves")
 class TestCollisions:
     def test_connect_request_during_drain_is_parked(self):
         """Disconnect-vs-ConnectRequest collision: PE 1 drains the pair
@@ -322,8 +326,8 @@ class TestCollisions:
                 yield 10.0
             yield from c0.am_send(1, "ping", data="raced")
 
-        spawn(rig.sim, c1._disconnect(0, reason="test"), name="drain")
-        spawn(rig.sim, race(), name="race")
+        spawn_batch(rig.sim, [(c1._disconnect(0, reason="test"), "drain"),
+                              (race(), "race")])
         rig.sim.run()
 
         assert pings == ["warmup", "raced"]
@@ -352,8 +356,8 @@ class TestCollisions:
 
         _drive(rig, warmup(), name="warmup")
 
-        spawn(rig.sim, c0._disconnect(1, reason="test"), name="d0")
-        spawn(rig.sim, c1._disconnect(0, reason="test"), name="d1")
+        spawn_batch(rig.sim, [(c0._disconnect(1, reason="test"), "d0"),
+                              (c1._disconnect(0, reason="test"), "d1")])
         rig.sim.run()
 
         assert rig.counters["conduit.disconnect_collisions"] >= 1

@@ -37,6 +37,7 @@ from repro.cluster import cluster_a, cluster_b
 from repro.core import Job, RuntimeConfig
 from repro.gasnet import LifecyclePolicy
 
+from ..conftest import both_wave_forms
 from ..obs.test_determinism import PLAN
 
 FIXTURES = Path(__file__).parent.parent / "data"
@@ -106,15 +107,17 @@ def test_ondemand_startup_trace_matches_golden_fixture(lifecycle):
     _assert_matches_fixture(job.tracer.formatted(), FIXTURE)
 
 
+@both_wave_forms
 @pytest.mark.parametrize("observe", [
     False, {"timeline": True},
 ], ids=["unobserved", "timeline"])
-def test_trace_is_byte_identical_with_timeline_sampling(observe):
+def test_trace_is_byte_identical_with_timeline_sampling(observe, event_waves):
     """The timeline sampler has zero effect on simulated time.
 
     Its tick events consume sequence numbers, but seq only breaks
     same-time ties and the probes are pure reads — so the golden trace
-    must stay byte-identical with sampling on.
+    must stay byte-identical with sampling on, whether the launch and
+    PMI-release waves run batched or as one heap entry per member.
     """
     job = Job(
         npes=128,
