@@ -1,7 +1,7 @@
 """Ablation D2 — blocking vs non-blocking PMI, per connection mode.
 
 Section IV-D's claim, restated operationally: only the combination
-**on-demand + PMIX_Iallgather** gives a (near-)constant ``start_pes``
+**on-demand + non-blocking iallgather** gives a (near-)constant ``start_pes``
 across job sizes — the out-of-band exchange leaves the critical path
 entirely.  Every other combination keeps an N-dependent term on the
 critical path: blocking PMI pays the fence + gets inside init, and

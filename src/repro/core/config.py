@@ -31,7 +31,7 @@ class RuntimeConfig:
 
     #: ``static`` (full wire-up at init) or ``ondemand`` (Fig. 4).
     connection_mode: str = "ondemand"
-    #: ``blocking`` Put/Fence/Get or ``nonblocking`` PMIX_Iallgather.
+    #: ``blocking`` Put/Fence/Get or ``nonblocking`` iallgather.
     pmi_mode: str = "nonblocking"
     #: Barriers inside start_pes: ``global`` or ``intranode``.
     barrier_mode: str = "intranode"
@@ -183,7 +183,7 @@ class RuntimeConfig:
 
     @classmethod
     def proposed(cls, **overrides) -> "RuntimeConfig":
-        """The paper's design: on-demand + PMIX_Iallgather + intra-node."""
+        """The paper's design: on-demand + non-blocking PMI + intra-node."""
         base = cls._proposed_singleton
         if base is None or base.__class__ is not cls:
             base = cls(

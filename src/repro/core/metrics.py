@@ -102,8 +102,3 @@ class JobResult:
     @property
     def wall_time_s(self) -> float:
         return self.wall_time_us / 1e6
-
-    @property
-    def mean_peers(self) -> float:
-        """Average communicating peers per process (Table I)."""
-        return self.resources.mean_active_peers

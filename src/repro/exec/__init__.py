@@ -6,12 +6,6 @@ fans the independent simulations out across worker processes (or runs
 them serially in-process — same results, byte for byte).
 """
 
-from .identity import (
-    canonical_json,
-    canonical_spec,
-    spec_hash,
-    spec_identity,
-)
 from .pool import (
     JobSpec,
     SweepError,
@@ -24,12 +18,8 @@ from .pool import (
 __all__ = [
     "JobSpec",
     "SweepError",
-    "canonical_json",
-    "canonical_spec",
     "execute",
     "resolve_workers",
     "resolve_workers_info",
     "run_sweep",
-    "spec_hash",
-    "spec_identity",
 ]

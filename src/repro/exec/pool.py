@@ -24,7 +24,8 @@ Failure contract
 ----------------
 Any exception inside a job — in the worker or on the serial path — is
 re-raised as :class:`SweepError` carrying the failing :class:`JobSpec`
-(``.spec``) and the original exception (``.cause`` / ``__cause__``).
+(``.spec``), its position in the sweep (``.index``) and the original
+exception (``.cause`` / ``__cause__``).
 A worker process dying outright (segfault, OOM-kill) surfaces the
 pool's :class:`BrokenProcessPool` the same way.
 
@@ -50,7 +51,6 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import ConfigError, require_positive_int
-from .identity import spec_identity
 
 __all__ = ["JobSpec", "SweepError", "execute", "resolve_workers",
            "resolve_workers_info", "run_sweep"]
@@ -67,15 +67,19 @@ _GC_SWEEP_NPES = 256
 
 
 class SweepError(RuntimeError):
-    """A sweep job failed; carries the spec and the original exception.
+    """A sweep job failed; carries the spec, its position and the
+    original exception.
 
-    The message names the job by its collision-free :attr:`JobSpec.
-    identity`, so a failure is never misattributed to a different point
-    of the grid.
+    The message names the job by its position in the sweep, which is
+    unique, plus the descriptive :attr:`JobSpec.key`, so a failure is
+    never misattributed to a different point of the grid.
     """
 
-    def __init__(self, spec: "JobSpec", cause: BaseException) -> None:
-        super().__init__(f"sweep job {spec.identity} failed: {cause!r}")
+    def __init__(self, index: int, spec: "JobSpec",
+                 cause: BaseException) -> None:
+        super().__init__(
+            f"sweep job #{index} ({spec.key}) failed: {cause!r}")
+        self.index = index
         self.spec = spec
         self.cause = cause
 
@@ -148,8 +152,8 @@ class JobSpec:
         """Descriptive display string: app, size, design point,
         testbed, a non-default seed and every armed option.  NOT
         collision-free — it elides option details — so anything
-        attributing behaviour to a spec must use :attr:`identity` or
-        :func:`repro.exec.spec_hash` instead.
+        attributing behaviour to a spec must also carry the spec
+        itself or its position in the sweep.
         """
         config = self.config
         app_name = getattr(self.app, "name", type(self.app).__name__)
@@ -170,11 +174,6 @@ class JobSpec:
         if config.macro:
             parts.append("macro")
         return "-".join(parts)
-
-    @property
-    def identity(self) -> str:
-        """Collision-free identity string (see :func:`spec_identity`)."""
-        return spec_identity(self)
 
 
 @lru_cache(maxsize=32)
@@ -326,7 +325,7 @@ def _run_serial(specs: List[JobSpec],
         try:
             results.append(execute(spec))
         except Exception as exc:
-            raise SweepError(spec, exc) from exc
+            raise SweepError(i, spec, exc) from exc
         if progress is not None:
             progress(spec, i + 1, len(specs))
     return results
@@ -357,11 +356,11 @@ def _run_parallel(specs: List[JobSpec], workers: int,
             except BrokenProcessPool as exc:
                 # The worker died without raising (crash/OOM-kill);
                 # attach the first spec whose result we could not get.
-                raise SweepError(spec, exc) from exc
+                raise SweepError(i, spec, exc) from exc
             except Exception as exc:
                 for pending in futures[i + 1:]:
                     pending.cancel()
-                raise SweepError(spec, exc) from exc
+                raise SweepError(i, spec, exc) from exc
             if progress is not None:
                 progress(spec, i + 1, len(specs))
         return results

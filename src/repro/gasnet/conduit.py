@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from ..cluster import Cluster
-from ..errors import ConduitError, RemoteAccessError, VerbsError
+from ..errors import ConduitError
 from ..ib import (
     CompletionQueue,
     EndpointAddress,
@@ -40,9 +40,9 @@ from ..ib import (
     VerbsContext,
     WorkCompletion,
 )
-from ..ib.types import Opcode, WCStatus
+from ..ib.types import Opcode
 from ..pmi import PMIClient, PMIHandle
-from ..sim import Semaphore, SimEvent, Simulator, Tracer, spawn
+from ..sim import Semaphore, Simulator, Tracer, spawn
 from .messages import (
     ActiveMessage,
     ConnectReply,
@@ -222,10 +222,6 @@ class Conduit:
         #: (what a bounded-footprint claim is measured against).
         self.peak_connections = 0
 
-        #: Non-blocking-implicit RMA tracking (shmem_*_nbi + quiet).
-        self._nbi_outstanding = 0
-        self._nbi_drained: Optional[SimEvent] = None
-
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -280,7 +276,7 @@ class Conduit:
         handle: PMIHandle,
         parser: Optional[Callable[[Any], EndpointAddress]] = None,
     ) -> None:
-        """Install a *pending* directory: a PMIX_Iallgather handle whose
+        """Install a *pending* directory: an iallgather handle whose
         per-rank values ``parser`` turns into endpoint addresses
         (``None`` when the values already are addresses).  The conduit
         waits on it lazily, at first use (Section IV-D)."""
@@ -288,7 +284,7 @@ class Conduit:
         self._dir_parser = parser
 
     def resolve_directory(self) -> Generator:
-        """Block until the UD directory is available (PMIX_Wait)."""
+        """Block until the UD directory is available."""
         if self._ud_directory is None:
             if self._dir_handle is None:
                 raise ConduitError(
@@ -560,118 +556,6 @@ class Conduit:
             return wc.data
         finally:
             conn.lock.release()
-
-    # ------------------------------------------------------------------
-    # non-blocking-implicit RMA (put_nbi/get_nbi + quiet)
-    # ------------------------------------------------------------------
-    def rdma_put_nbi(self, peer: int, data: bytes, raddr: int,
-                     rkey: int) -> Generator:
-        """Initiate a put and return; completion is implicit (quiet)."""
-        self.counters.add("conduit.nbi_puts")
-        self.counters.add("conduit.put_bytes", len(data))
-        if peer != self.rank:
-            self.touched_peers.add(peer)
-        if peer == self.rank or self.cluster.same_node(peer, self.rank):
-            # Shared-memory path: initiate now, land after the copy time.
-            self._nbi_begin()
-            delay = self.cost.intra_node_time(len(data))
-            target_mm = self.network.peer(peer).ctx.mm
-
-            def _land(_arg) -> None:
-                target_mm.rdma_write(raddr, rkey, data)
-                self._nbi_end()
-
-            self.sim._schedule_at(self.sim.now + delay, _land, None)
-            yield self.cost.post_wr_us
-            return
-        yield from self.ensure_connected(peer)
-        self._nbi_begin()
-        spawn(
-            self.sim,
-            self._nbi_tracker(peer, "write", bytes(data), 0, raddr, rkey, None),
-            name=f"nbi-put-{self.rank}->{peer}",
-        )
-        yield self.cost.post_wr_us
-
-    def rdma_get_nbi(self, peer: int, nbytes: int, raddr: int, rkey: int,
-                     on_data: Callable[[bytes], None]) -> Generator:
-        """Initiate a get; ``on_data(bytes)`` runs at completion."""
-        self.counters.add("conduit.nbi_gets")
-        self.counters.add("conduit.get_bytes", nbytes)
-        if peer != self.rank:
-            self.touched_peers.add(peer)
-        if peer == self.rank or self.cluster.same_node(peer, self.rank):
-            self._nbi_begin()
-            delay = self.cost.intra_node_time(nbytes)
-            source_mm = self.network.peer(peer).ctx.mm
-
-            def _land(_arg) -> None:
-                on_data(source_mm.rdma_read(raddr, rkey, nbytes))
-                self._nbi_end()
-
-            self.sim._schedule_at(self.sim.now + delay, _land, None)
-            yield self.cost.post_wr_us
-            return
-        yield from self.ensure_connected(peer)
-        self._nbi_begin()
-        spawn(
-            self.sim,
-            self._nbi_tracker(peer, "read", None, nbytes, raddr, rkey, on_data),
-            name=f"nbi-get-{self.rank}<-{peer}",
-        )
-        yield self.cost.post_wr_us
-
-    def _nbi_tracker(self, peer: int, op: str, data, nbytes: int,
-                     raddr: int, rkey: int, on_data) -> Generator:
-        """Post under the connection lock, then wait for the completion
-        *outside* it so later operations pipeline behind this one.
-
-        WC pairing stays correct because completions on one RC QP are
-        FIFO and every poster registers its CQ waiter in post order
-        (registration happens before the lock is released).
-        """
-        conn = yield from self._acquire_conn(peer)
-        try:
-            if op == "write":
-                yield from self.ctx.post_rdma_write(conn.qp, data, raddr, rkey)
-            else:
-                yield from self.ctx.post_rdma_read(conn.qp, nbytes, raddr, rkey)
-            waiter = conn.send_cq.wait()  # synchronous FIFO registration
-        finally:
-            conn.lock.release()
-        try:
-            wc = yield waiter
-            yield self.cost.poll_cq_us
-            if wc.status is not WCStatus.SUCCESS:
-                if wc.status is WCStatus.REMOTE_ACCESS_ERROR:
-                    raise RemoteAccessError(
-                        f"PE {self.rank}: nbi {op} to {peer} failed "
-                        f"remotely: {wc.data}"
-                    )
-                raise VerbsError(
-                    f"PE {self.rank}: nbi {op} to {peer} completed with "
-                    f"{wc.status.value}"
-                )
-            if op == "read" and on_data is not None:
-                on_data(wc.data)
-        finally:
-            self._nbi_end()
-
-    def _nbi_begin(self) -> None:
-        self._nbi_outstanding += 1
-
-    def _nbi_end(self) -> None:
-        self._nbi_outstanding -= 1
-        if self._nbi_outstanding == 0 and self._nbi_drained is not None:
-            self._nbi_drained.succeed()
-            self._nbi_drained = None
-
-    def quiet(self) -> Generator:
-        """Block until every outstanding nbi operation is complete."""
-        while self._nbi_outstanding > 0:
-            if self._nbi_drained is None:
-                self._nbi_drained = self.sim.event()
-            yield self._nbi_drained
 
     # ------------------------------------------------------------------
     # UD helpers for the handshake

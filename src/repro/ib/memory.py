@@ -52,7 +52,8 @@ class MemoryRegion:
         return self.mm.buffer_of(self.addr)
 
     def contains(self, addr: int, nbytes: int) -> bool:
-        return self.addr <= addr and addr + nbytes <= self.addr + self.size
+        return (nbytes >= 0 and self.addr <= addr
+                and addr + nbytes <= self.addr + self.size)
 
     def offset_of(self, addr: int) -> int:
         return addr - self.addr

@@ -8,8 +8,8 @@ for two separate fully-wired runtimes, and an on-demand connection made
 by either model is reused by the other.
 
 Implemented: blocking ``send``/``recv`` with (source, tag) matching,
-``sendrecv``, ``barrier``, ``bcast``, ``allreduce``, ``allgather``,
-``alltoall``, ``gather`` — enough for the paper's hybrid workloads.
+``barrier``, ``bcast``, ``reduce``, ``allreduce``, ``allgather`` and
+``alltoall`` — enough for the paper's hybrid workloads.
 Payloads are Python objects; ``nbytes`` (or a numpy array's size)
 drives the timing model.
 """
@@ -98,13 +98,6 @@ class Communicator:
         _src, payload = yield self._chan(key).recv()
         return payload
 
-    def sendrecv(self, dest: int, data: Any, source: int,
-                 tag: int = 0, nbytes: Optional[int] = None) -> Generator:
-        """MPI_Sendrecv (deadlock-free exchange)."""
-        yield from self.send(dest, data, tag=tag, nbytes=nbytes)
-        result = yield from self.recv(source, tag=tag)
-        return result
-
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
@@ -175,19 +168,6 @@ class Communicator:
             _src, incoming = yield self._chan(key).recv()
             blocks.update(incoming)
         return [blocks[r] for r in range(n)]
-
-    def gather(self, value: Any, root: int = 0,
-               nbytes: Optional[int] = None) -> Generator:
-        """MPI_Gather; list at root (rank order), None elsewhere."""
-        gathered = yield from self.reduce(
-            {self.rank: value},
-            lambda a, b: {**a, **b},
-            root=root,
-            nbytes=nbytes,
-        )
-        if gathered is None:
-            return None
-        return [gathered[r] for r in range(self.size)]
 
     def alltoall(self, values: List[Any],
                  nbytes_each: Optional[int] = None) -> Generator:

@@ -31,7 +31,7 @@ from ..apps.heat2d import Heat2D
 from ..apps.hello import HelloWorld
 from ..cluster import cluster_a, cluster_b
 from ..core import Job, RuntimeConfig
-from ..errors import ConfigError
+from ..errors import ConfigError, require_positive_int
 from .diff import diff_snapshots, format_diff, load_snapshot
 from .export import prometheus_text, timeline_csv, validate_chrome_trace
 
@@ -117,15 +117,16 @@ def _run_main(argv: List[str]) -> int:
             _validate_output_path(path, flag)
     if args.interval_us is not None and args.interval_us <= 0:
         raise CliError(f"--interval-us must be positive, got {args.interval_us}")
+    require_positive_int("--npes", args.npes)
+    if args.ppn is not None:
+        require_positive_int("--ppn", args.ppn)
 
     config = (RuntimeConfig.current() if args.config == "current"
               else RuntimeConfig.proposed())
     if args.seed is not None:
         config = config.evolve(seed=args.seed)
-    if args.testbed == "A":
-        cluster = cluster_a(args.npes, ppn=args.ppn or 8)
-    else:
-        cluster = cluster_b(args.npes, ppn=args.ppn or 16)
+    factory, ppn = (cluster_a, 8) if args.testbed == "A" else (cluster_b, 16)
+    cluster = factory(args.npes, ppn=ppn if args.ppn is None else args.ppn)
 
     if timeline_on:
         tl_opts = {}

@@ -1,8 +1,7 @@
-"""Process Management Interface: KVS, daemon tree, client, PMIX extensions."""
+"""Process Management Interface: KVS, daemon tree, client."""
 
 from .client import PMIClient, PMIHandle
 from .kvs import KeyValueStore
-from .pmix import PMIX_Iallgather, PMIX_Ifence, PMIX_Ring, PMIX_Wait
 from .server import Daemon, PMIDomain
 
 __all__ = [
@@ -11,8 +10,4 @@ __all__ = [
     "KeyValueStore",
     "Daemon",
     "PMIDomain",
-    "PMIX_Iallgather",
-    "PMIX_Ifence",
-    "PMIX_Ring",
-    "PMIX_Wait",
 ]

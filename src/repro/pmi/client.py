@@ -6,7 +6,7 @@ non-blocking PMIX extensions from the authors' earlier work
 
 * :meth:`PMIClient.ifence`      -- split-phase fence,
 * :meth:`PMIClient.iallgather`  -- fused Put+Fence+Get-all,
-* :meth:`PMIHandle.wait`        -- PMIX_Wait.
+* :meth:`PMIHandle.wait`        -- wait for either to complete.
 
 Every call charges realistic client<->daemon round-trip and daemon
 queueing costs; collectives ride the daemon tree in
@@ -15,7 +15,7 @@ queueing costs; collectives ride the daemon tree in
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Generator, List
 
 from ..errors import PMIError
 from ..sim import SimEvent, Waitable
@@ -25,7 +25,7 @@ __all__ = ["PMIClient", "PMIHandle"]
 
 
 class PMIHandle:
-    """Completion handle for a non-blocking PMI operation (PMIX_Wait)."""
+    """Completion handle for a non-blocking PMI operation."""
 
     def __init__(self, event: SimEvent) -> None:
         self._event = event
@@ -48,7 +48,6 @@ class PMIClient:
         self.daemon = domain.daemon_of(rank)
         self._fence_epoch = 0
         self._iag_epoch = 0
-        self._ring_epoch = 0
         self._staged_since_fence = 0
         #: Flight recorder (installed by ``Job`` if ``config.observe``).
         self.obs = None
@@ -153,18 +152,16 @@ class PMIClient:
     # ------------------------------------------------------------------
     # non-blocking PMIX extensions
     # ------------------------------------------------------------------
-    def ifence(self, alias: Optional[str] = None,
-               _parent=None) -> PMIHandle:
-        """PMIX_Ifence: returns immediately with a handle."""
+    def ifence(self, _parent=None) -> PMIHandle:
+        """Split-phase fence: returns immediately with a handle."""
         cid = f"fence:{self._fence_epoch}"
         self._fence_epoch += 1
         self.domain.counters.add("pmi.fences")
         staged, self._staged_since_fence = self._staged_since_fence, 0
-        return self._contribute(cid, staged, alias=alias or "pmi.ifence",
-                                parent=_parent)
+        return self._contribute(cid, staged, "pmi.ifence", parent=_parent)
 
-    def iallgather(self, value: Any, alias: Optional[str] = None) -> PMIHandle:
-        """PMIX_Iallgather: contribute ``value``; result maps rank->value.
+    def iallgather(self, value: Any) -> PMIHandle:
+        """Non-blocking allgather of ``value``; result maps rank->value.
 
         Fuses the Put-Fence-Get-all sequence into one operation with a
         symmetric data pattern (paper Section III-E).
@@ -172,27 +169,9 @@ class PMIClient:
         cid = f"iag:{self._iag_epoch}"
         self._iag_epoch += 1
         self.domain.counters.add("pmi.iallgathers")
-        return self._contribute(cid, value, alias=alias or "pmi.iallgather")
+        return self._contribute(cid, value, "pmi.iallgather")
 
-    def ring(self, value: Any) -> Generator:
-        """PMIX_Ring: blocking neighbour exchange.
-
-        Returns ``(left_value, right_value)`` for a rank ring.  Modelled
-        on top of the tree collective with neighbour extraction at the
-        client (the data volume per client is O(1), which is the point
-        of the ring design).
-        """
-        cid = f"ring:{self._ring_epoch}"
-        self._ring_epoch += 1
-        self.domain.counters.add("pmi.rings")
-        handle = self._contribute(cid, value, alias="pmi.ring")
-        result = yield handle.wait()
-        n = self.domain.cluster.npes
-        left = result[(self.rank - 1) % n]
-        right = result[(self.rank + 1) % n]
-        return left, right
-
-    def _contribute(self, cid: str, value: Any, alias: str = "pmi.coll",
+    def _contribute(self, cid: str, value: Any, span_name: str,
                     parent=None) -> PMIHandle:
         sim = self.domain.sim
         cost = self.domain.cost
@@ -204,7 +183,7 @@ class PMIClient:
             # the collective; closed from the event callback so it also
             # measures non-blocking ops that complete in the background.
             span = obs.spans.start(
-                alias, f"pe{self.rank}", parent=parent, cid=cid
+                span_name, f"pe{self.rank}", parent=parent, cid=cid
             )
             spans = obs.spans
 

@@ -1,6 +1,5 @@
 """OpenSHMEM runtime: symmetric heap, RMA, atomics, collectives, startup."""
 
-from .activeset import ActiveSet
 from .collectives import tree_parent_children
 from .context import ShmemContext
 from .heap import SymmetricHeap
@@ -16,7 +15,6 @@ from .startup import (
 
 __all__ = [
     "ShmemPE",
-    "ActiveSet",
     "ShmemContext",
     "SymmetricHeap",
     "tree_parent_children",

@@ -1,14 +1,12 @@
 """Remote atomic operations on 64-bit symmetric integers.
 
 The full OpenSHMEM 1.x atomic set the paper benchmarks in Figure 6(c):
-fadd, finc, add, inc, cswap, swap (plus fetch/set conveniences).
+fadd, finc, add, inc, cswap, swap.
 """
 
 from __future__ import annotations
 
 from typing import Generator
-
-import numpy as np
 
 __all__ = ["AtomicsMixin"]
 
@@ -56,11 +54,6 @@ class AtomicsMixin:
             if old == current:
                 return old
 
-    def atomic_fetch(self, peer: int, addr: int) -> Generator:
-        """shmem_longlong_fetch (atomic read)."""
-        old = yield from self.atomic_fetch_add(peer, addr, 0)
-        return old
-
     # -- non-fetching variants ----------------------------------------------
     def atomic_add(self, peer: int, addr: int, value: int) -> Generator:
         """shmem_longlong_add (no result returned)."""
@@ -69,7 +62,3 @@ class AtomicsMixin:
     def atomic_inc(self, peer: int, addr: int) -> Generator:
         """shmem_longlong_inc."""
         yield from self._atomic(peer, "fetch_add", addr, 0, 1)
-
-    def atomic_set(self, peer: int, addr: int, value: int) -> Generator:
-        """shmem_longlong_set (atomic write)."""
-        yield from self.atomic_swap(peer, addr, value)

@@ -93,21 +93,26 @@ class SymmetricHeap:
             raise ShmemError(f"address {addr:#x} is not in the symmetric heap")
         return off
 
+    def _span(self, addr: int, nbytes: int) -> int:
+        """Offset of ``[addr, addr + nbytes)``, which must lie in the heap."""
+        off = self.offset_of(addr)
+        if nbytes < 0 or off + nbytes > self.size:
+            raise ShmemError(
+                f"access {addr:#x}+{nbytes} is outside the symmetric heap")
+        return off
+
     def view(self, addr: int, dtype, count: int) -> np.ndarray:
         """A typed numpy view of local heap memory (zero copy)."""
-        off = self.offset_of(addr)
-        itemsize = np.dtype(dtype).itemsize
-        end = off + itemsize * count
-        if end > self.size:
-            raise ShmemError("typed view extends past the heap")
-        return self._buf[off:end].view(dtype)
+        nbytes = np.dtype(dtype).itemsize * count
+        off = self._span(addr, nbytes)
+        return self._buf[off : off + nbytes].view(dtype)
 
     def read(self, addr: int, nbytes: int) -> bytes:
-        off = self.offset_of(addr)
+        off = self._span(addr, nbytes)
         return bytes(self._buf[off : off + nbytes])
 
     def write(self, addr: int, data: bytes) -> None:
-        off = self.offset_of(addr)
+        off = self._span(addr, len(data))
         self._buf[off : off + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
     @property

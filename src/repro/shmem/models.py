@@ -7,7 +7,7 @@ paper's proposed design only; ``RuntimeConfig`` refuses macro mode on
 the static corner and on every ablation when the config is built.
 
 Every on-demand startup phase is homogeneous and data-independent:
-endpoint creation, the PMIX_Iallgather launch (which charges *zero*
+endpoint creation, the non-blocking iallgather launch (which charges *zero*
 client time — the daemon-tree work happens in the background), memory
 registration, shared-memory setup and two intra-node barriers.  The
 whole flow reduces to per-PE closed-form arithmetic plus a per-node max
@@ -67,7 +67,7 @@ def run_macro_job(app, npes: int, config, cluster: Cluster) -> MacroRunResult:
     # Per-PE instants, mirroring the exact flow's float ops one by one
     # (each ``yield d`` is one ``now + d``):
     #   t0 launch skew -> OTHER: init_misc + UD endpoint (t1)
-    #   -> PMI: PMIX_Iallgather launch, zero client time
+    #   -> PMI: iallgather launch, zero client time
     #   -> MEMREG: heap registration (t2)
     #   -> SHM: shared-memory setup (t3)
     #   -> OTHER: two intra-node barriers (exit2).

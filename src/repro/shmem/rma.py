@@ -1,9 +1,7 @@
 """One-sided put/get (shmem_put / shmem_get and typed variants).
 
-Operations are blocking (they return once remotely complete), which
-makes ``shmem_quiet``/``shmem_fence`` trivially satisfied — a
-documented simplification that matches how the OSU latency benchmarks
-measure these calls anyway.
+Operations are blocking: they return once remotely complete, which is
+how the OSU latency benchmarks of Figure 6 measure these calls.
 """
 
 from __future__ import annotations
@@ -48,65 +46,9 @@ class RMAMixin:
         """Typed put of a numpy array into symmetric memory."""
         yield from self.put(peer, addr, np.ascontiguousarray(array).tobytes())
 
-    def get_array(self, peer: int, addr: int, dtype, count: int) -> Generator:
-        data = yield from self.get(peer, addr, np.dtype(dtype).itemsize * count)
-        return np.frombuffer(data, dtype=dtype).copy()
-
     def put_value(self, peer: int, addr: int, value: int,
                   dtype=np.int64) -> Generator:
         yield from self.put(peer, addr, np.dtype(dtype).type(value).tobytes())
-
-    def get_value(self, peer: int, addr: int, dtype=np.int64) -> Generator:
-        data = yield from self.get(peer, addr, np.dtype(dtype).itemsize)
-        return np.frombuffer(data, dtype=dtype)[0].item()
-
-    # -- non-blocking implicit (shmem_putmem_nbi / shmem_getmem_nbi) -------
-    def put_nbi(self, peer: int, addr: int, data: bytes) -> Generator:
-        """shmem_putmem_nbi: initiate and return; complete at quiet()."""
-        self._require_init()
-        self.counters.add("shmem.puts_nbi")
-        if peer == self.rank:
-            self.heap.write(addr, data)
-            return
-        yield from self._ensure_peer(peer)
-        raddr, rkey = self._translate(peer, addr)
-        yield from self.conduit.rdma_put_nbi(peer, bytes(data), raddr, rkey)
-
-    def put_array_nbi(self, peer: int, addr: int, array: np.ndarray) -> Generator:
-        yield from self.put_nbi(
-            peer, addr, np.ascontiguousarray(array).tobytes()
-        )
-
-    def get_nbi(self, peer: int, src_addr: int, dst_addr: int,
-                nbytes: int) -> Generator:
-        """shmem_getmem_nbi: fetch into *local* symmetric memory at
-        ``dst_addr``; data is usable only after quiet()."""
-        self._require_init()
-        self.counters.add("shmem.gets_nbi")
-        if peer == self.rank:
-            self.heap.write(dst_addr, self.heap.read(src_addr, nbytes))
-            return
-        yield from self._ensure_peer(peer)
-        raddr, rkey = self._translate(peer, src_addr)
-        heap = self.heap
-        yield from self.conduit.rdma_get_nbi(
-            peer, nbytes, raddr, rkey,
-            on_data=lambda data: heap.write(dst_addr, data),
-        )
-
-    # ------------------------------------------------------------------
-    def quiet(self) -> Generator:
-        """shmem_quiet: complete all outstanding nbi operations.
-
-        (Blocking put/get are already remotely complete on return.)
-        """
-        self._require_init()
-        yield self.cost.poll_cq_us
-        yield from self.conduit.quiet()
-
-    def fence(self) -> Generator:
-        """shmem_fence: ordering only; same guarantee as quiet here."""
-        yield from self.quiet()
 
     # ------------------------------------------------------------------
     def wait_until(self, addr: int, op: str, value: int,

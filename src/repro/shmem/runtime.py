@@ -16,7 +16,6 @@ shmem_putmem       ``yield from pe.put(peer, addr, data)``
 shmem_getmem       ``yield from pe.get(peer, addr, n)``
 shmem_longlong_fadd ``yield from pe.atomic_fetch_add(...)``
 shmem_barrier_all  ``yield from pe.barrier_all()``
-shmem_broadcast    ``yield from pe.broadcast(root, addr, n)``
 shmem_fcollect     ``yield from pe.fcollect(src, dst, n)``
 shmem_*_to_all     ``yield from pe.reduce(...)``
 ================  ==========================================
@@ -38,10 +37,8 @@ from ..sim import Counters, Simulator
 from .atomics import AtomicsMixin
 from .collectives import CollectivesMixin
 from .context import ShmemContext
-from .locks import LocksMixin
 from .rma import RMAMixin
 from .startup import run_startup
-from .strided import StridedMixin
 
 __all__ = ["ShmemPE", "install_timeline_probes"]
 
@@ -61,8 +58,7 @@ def install_timeline_probes(timeline, pes) -> None:
     timeline.add_probe("shmem.heap_bytes", heap_bytes)
 
 
-class ShmemPE(ShmemContext, RMAMixin, AtomicsMixin, CollectivesMixin,
-              LocksMixin, StridedMixin):
+class ShmemPE(ShmemContext, RMAMixin, AtomicsMixin, CollectivesMixin):
     """One OpenSHMEM processing element."""
 
     def __init__(

@@ -6,7 +6,7 @@ Four orthogonal knobs (see :class:`repro.core.config.RuntimeConfig`):
   ``ondemand`` defers to first communication and piggybacks segment
   keys on the handshake (Section IV-C);
 * **PMI mode** — ``blocking`` Put/Fence/Get vs. ``nonblocking``
-  PMIX_Iallgather overlapped with memory registration (Section IV-D);
+  iallgather overlapped with memory registration (Section IV-D);
 * **init barrier mode** — ``global`` shmem_barrier_all calls (the
   baseline's inefficiency #3) vs. the ``intranode`` shared-memory
   barrier (Section IV-E).
@@ -71,8 +71,8 @@ def _pmi_exchange(pe: "ShmemPE") -> Generator:
     """Publish our UD endpoint; resolve or defer per PMI mode."""
     pe.timer.begin(PHASE_PMI)
     if pe.config.pmi_mode == "nonblocking":
-        # PMIX_Iallgather: launch and return immediately; the conduit
-        # resolves the directory lazily via PMIX_Wait (Section IV-D).
+        # Non-blocking iallgather: launch and return immediately; the conduit
+        # resolves the directory lazily on first use (Section IV-D).
         handle = pe.pmi.iallgather(pe.conduit.ud_address)
         pe.conduit.set_ud_directory_handle(handle, parser=None)
     elif pe.config.pmi_mode == "blocking":

@@ -197,6 +197,7 @@ class TestFailures:
         with pytest.raises(SweepError) as info:
             run_sweep([spec])
         assert info.value.spec is spec
+        assert info.value.index == 0
         assert isinstance(info.value.cause, ProcessFailure)
         assert isinstance(info.value.cause.cause, ValueError)
 
@@ -211,11 +212,28 @@ class TestFailures:
             # boundary is the thing under test.
             pool_mod._run_parallel([good, bad], 2)
         assert info.value.spec == bad
+        assert info.value.index == 1
         # The original exception crossed the process boundary intact
         # (ProcessFailure pickles by dropping the live Process).
         assert isinstance(info.value.cause, ProcessFailure)
         assert isinstance(info.value.cause.cause, ValueError)
         assert info.value.cause.process_name == "join"
+
+    def test_error_names_are_collision_free(self, monkeypatch):
+        # The descriptive key elides option details: these two specs
+        # share it.  The sweep position keeps their failures apart.
+        monkeypatch.setenv("REPRO_PAR", "0")
+        a, b = (JobSpec(app=Boom(), npes=4, testbed="A", ppn=2,
+                        config=RuntimeConfig.proposed(faults=FaultPlan(
+                            ud=(UDFault("drop", prob=p),))))
+                for p in (0.1, 0.2))
+        assert a.key == b.key and a != b
+        errors = [str(SweepError(i, s, ValueError("x")))
+                  for i, s in enumerate((a, b))]
+        assert errors[0] != errors[1]
+        assert errors[1].startswith(f"sweep job #1 ({b.key}) failed")
+        with pytest.raises(SweepError, match=r"^sweep job #1 \(boom-n4-"):
+            run_sweep([_hello(4), b])
 
 
 class TestExecuteIsolation:

@@ -18,9 +18,8 @@ class TestPointToPoint:
             mpi = pe.mpi
             right = (mpi.rank + 1) % mpi.size
             left = (mpi.rank - 1) % mpi.size
-            got = yield from mpi.sendrecv(
-                right, f"msg-{mpi.rank}", source=left
-            )
+            yield from mpi.send(right, f"msg-{mpi.rank}")
+            got = yield from mpi.recv(left)
             return got
 
         result = run_mpi(prog, npes=5)
@@ -123,15 +122,6 @@ class TestCollectives:
         result = run_mpi(prog, npes=npes)
         expected = [r * 2 for r in range(npes)]
         assert all(v == expected for v in result.app_results)
-
-    def test_gather_at_root(self):
-        def prog(pe):
-            values = yield from pe.mpi.gather(chr(65 + pe.mpi.rank), root=0)
-            return values
-
-        result = run_mpi(prog, npes=4)
-        assert result.app_results[0] == ["A", "B", "C", "D"]
-        assert result.app_results[1] is None
 
     def test_alltoall(self):
         def prog(pe):

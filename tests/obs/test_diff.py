@@ -183,6 +183,17 @@ class TestCli:
         assert "seed must be a non-negative int" in err
         assert "Traceback" not in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--npes", "0"), ("--ppn", "-1"), ("--ppn", "0"),
+    ])
+    def test_bad_size_one_line_error(self, capsys, flag, value):
+        argv = ["--npes", "4", flag, value] if flag == "--ppn" \
+            else [flag, value]
+        assert obs_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be an integer >= 1")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_diff_output_flag_validated(self, tmp_path, capsys):
         path = tmp_path / "t.json"
         path.write_text("{}")

@@ -209,23 +209,6 @@ class TestIallgather:
         assert out["early"] == out["late"] == {0: 0, 1: 1}
 
 
-class TestRing:
-    def test_ring_gives_neighbors(self):
-        sim, domain, clients = make_domain(npes=6, ppn=2)
-        out = {}
-
-        def pe(sim, client):
-            left, right = yield from client.ring(f"r{client.rank}")
-            out[client.rank] = (left, right)
-
-        for c in clients:
-            spawn(sim, pe(sim, c))
-        sim.run()
-        assert out[0] == ("r5", "r1")
-        assert out[3] == ("r2", "r4")
-        assert out[5] == ("r4", "r0")
-
-
 class TestFenceScaling:
     def _fence_time(self, npes, ppn=16):
         sim, domain, clients = make_domain(npes=npes, ppn=ppn)

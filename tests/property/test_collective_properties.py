@@ -90,19 +90,3 @@ class TestCollectiveCorrectness:
         result = run_shmem(prog, npes=npes)
         expected = b"".join(r.to_bytes(4, "little") for r in range(npes))
         assert all(blob == expected for blob in result.app_results)
-
-    @given(root=st.integers(min_value=0, max_value=6))
-    @settings(max_examples=7, deadline=None)
-    def test_broadcast_from_any_root(self, root):
-        npes = 7
-
-        def prog(pe):
-            addr = pe.shmalloc(8)
-            if pe.mype == root:
-                pe.heap.write(addr, b"ROOTDATA")
-            yield from pe.barrier_all()
-            yield from pe.broadcast(root, addr, 8)
-            return pe.heap.read(addr, 8)
-
-        result = run_shmem(prog, npes=npes)
-        assert all(blob == b"ROOTDATA" for blob in result.app_results)

@@ -54,20 +54,6 @@ class TestBarrier:
         assert all(result.app_results)
 
 
-class TestBroadcast:
-    def test_root_value_everywhere(self, any_mode_config):
-        def prog(pe):
-            addr = pe.shmalloc(16)
-            if pe.mype == 2:
-                pe.heap.write(addr, b"broadcast-value!")
-            yield from pe.barrier_all()
-            yield from pe.broadcast(2, addr, 16)
-            return pe.heap.read(addr, 16)
-
-        result = run_shmem(prog, npes=7, config=any_mode_config)
-        assert all(v == b"broadcast-value!" for v in result.app_results)
-
-
 class TestCollect:
     @pytest.mark.parametrize("npes", [2, 3, 7, 8])
     def test_fcollect_concatenates_in_rank_order(self, npes):

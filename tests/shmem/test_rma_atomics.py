@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShmemError
+from repro.cluster import cluster_a
+from repro.errors import RemoteAccessError, ReproError, ShmemError
 
 from .conftest import run_shmem
 
@@ -79,6 +80,41 @@ class TestPutGet:
         result = run_shmem(prog, npes=2)
         assert result.app_results[1] is not None
 
+    # PE 0's view of the three data paths with two PEs per node.
+    _PATH_PEER = {"self": 0, "intranode": 1, "remote": 2}
+
+    @pytest.mark.parametrize("length", ["negative", "past_end"])
+    @pytest.mark.parametrize("path", ["self", "intranode", "remote"])
+    def test_out_of_bounds_access_rejected(self, path, length):
+        def attempt(op):
+            try:
+                yield from op
+            except ReproError as exc:
+                return type(exc)
+            return None
+
+        def prog(pe):
+            addr = pe.shmalloc(64)
+            yield from pe.barrier_all()
+            errors = []
+            if pe.mype == 0:
+                peer = self._PATH_PEER[path]
+                if length == "negative":
+                    ops = [pe.get(peer, addr, -4)]
+                else:
+                    past = pe.heap.size - (addr - pe.heap.base) + 8
+                    ops = [pe.get(peer, addr, past),
+                           pe.put(peer, addr, bytes(past))]
+                for op in ops:
+                    errors.append((yield from attempt(op)))
+            yield from pe.barrier_all()
+            return errors
+
+        result = run_shmem(prog, npes=4, cluster=cluster_a(4, ppn=2))
+        expected = ShmemError if path == "self" else RemoteAccessError
+        errors = result.app_results[0]
+        assert errors and all(e is expected for e in errors)
+
 
 class TestAtomics:
     def test_fetch_add_all_to_one(self, any_mode_config):
@@ -103,8 +139,8 @@ class TestAtomics:
             yield from pe.barrier_all()
             yield from pe.atomic_inc(0, counter)
             yield from pe.barrier_all()
-            value = yield from pe.atomic_fetch(0, counter)
-            return value
+            data = yield from pe.get(0, counter, f8)
+            return int(np.frombuffer(data, dtype=np.int64)[0])
 
         result = run_shmem(prog, npes=4)
         assert all(v == 4 for v in result.app_results)
@@ -128,7 +164,7 @@ class TestAtomics:
             cell = pe.shmalloc(f8)
             yield from pe.barrier_all()
             if pe.mype == 0:
-                yield from pe.atomic_set(1, cell, 7)
+                yield from pe.put_value(1, cell, 7)
                 yield from pe.barrier_all()
                 return None
             yield from pe.barrier_all()
