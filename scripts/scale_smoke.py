@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rss-kb-per-pe", type=float, default=48.0,
                         help="scale-gate peak-RSS budget in KiB per "
                              "simulated PE (default 48; the reference "
-                             "host peaks ~24 KiB/PE at 16,384 PEs)")
+                             "host peaks ~17 KiB/PE at 16,384 PEs)")
     parser.add_argument("--macro-npes", type=int, default=262144,
                         help="macro-gate job size (default 262144)")
     parser.add_argument("--macro-budget", type=float, default=120.0,

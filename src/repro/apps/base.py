@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Dict, Generator
 
 __all__ = ["Application"]
 
@@ -27,12 +27,16 @@ class Application:
 
     # Apps are plain parameter holders; value equality lets a pickled
     # copy (sweep-pool JobSpecs cross a process boundary) compare equal
-    # to the original.
+    # to the original.  Attributes named ``_*`` are caches an app fills
+    # while it runs, so they are not part of its value.
+    def _params(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
+
     def __eq__(self, other: Any) -> bool:
-        return type(self) is type(other) and self.__dict__ == other.__dict__
+        return type(self) is type(other) and self._params() == other._params()
 
     def __hash__(self) -> int:
-        return hash((type(self), repr(sorted(self.__dict__.items()))))
+        return hash((type(self), repr(sorted(self._params().items()))))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name}>"

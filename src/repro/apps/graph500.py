@@ -71,6 +71,16 @@ class Graph500Hybrid(Application):
         self.edgefactor = edgefactor
         self.nroots = nroots
         self.seed = seed
+        self._edges = None
+
+    def edges(self) -> np.ndarray:
+        """The Kronecker edge list, generated on first use and shared
+        read-only by every PE of the job (each reads its own slice)."""
+        if self._edges is None:
+            edges = kronecker_edges(self.scale, self.edgefactor, self.seed)
+            edges.flags.writeable = False
+            self._edges = edges
+        return self._edges
 
     # ------------------------------------------------------------------
     def run(self, pe) -> Generator:
@@ -80,7 +90,7 @@ class Graph500Hybrid(Application):
         i8 = np.dtype(np.int64).itemsize
 
         # ---------- generation (every PE generates its slice) ----------
-        edges = kronecker_edges(self.scale, self.edgefactor, self.seed)
+        edges = self.edges()
         m = len(edges)
         my_slice = edges[rank::npes]
         yield pe.sim.timeout(
@@ -101,6 +111,7 @@ class Graph500Hybrid(Application):
         for box in incoming:
             for u, v in box:
                 adj.setdefault(u, []).append(v)
+        del outboxes, incoming
 
         # ---------- symmetric BFS state --------------------------------
         # Sized for the worst realistic per-root fan-in (R-MAT hubs);

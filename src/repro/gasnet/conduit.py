@@ -230,8 +230,8 @@ class Conduit:
     def init_endpoint(self) -> Generator:
         """Create the UD endpoint + shared CQ and start the progress
         engine.  Must run before anything else."""
-        self._recv_cq = self.ctx.create_cq("shared-recv")
-        self._ud_send_cq = self.ctx.create_cq("ud-send")
+        self._recv_cq = self.ctx.create_cq()
+        self._ud_send_cq = self.ctx.create_cq()
         self.ud_qp = yield from self.ctx.create_ud_qp(
             self._ud_send_cq, self._recv_cq
         )

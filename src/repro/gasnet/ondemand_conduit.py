@@ -416,7 +416,7 @@ class OnDemandConduit(Conduit):
             return
         directory = yield from self.resolve_directory()
         dst_ud = directory[peer]
-        send_cq = self.ctx.create_cq(f"rc-send-{peer}")
+        send_cq = self.ctx.create_cq()
         qp = yield from self._create_rc_qp_backoff(send_cq, peer)
         if pending.span is not None:
             qp.observe(obs.spans, pending.span)
@@ -696,7 +696,7 @@ class OnDemandConduit(Conduit):
                 # Collision caught before our client QP even existed.
                 self.counters.add("conduit.collisions_served")
                 pending.abandoned = True
-            send_cq = self.ctx.create_cq(f"rc-send-{peer}")
+            send_cq = self.ctx.create_cq()
             qp = yield from self._create_rc_qp_backoff(send_cq, peer)
             if sspan is not None:
                 qp.observe(obs.spans, sspan)

@@ -81,8 +81,8 @@ class StaticConduit(Conduit):
                 f"PE {self.rank}: peer {peer} is not statically wired"
             )
         # Materialise the pre-paid QP pair on both sides, instantly.
-        my_cq = self.ctx.create_cq(f"rc-send-{peer}")
-        peer_cq = peer_conduit.ctx.create_cq(f"rc-send-{self.rank}")
+        my_cq = self.ctx.create_cq()
+        peer_cq = peer_conduit.ctx.create_cq()
         my_qp = yield from self.ctx.create_rc_qp(my_cq, self._recv_cq, prepaid=True)
         peer_qp = yield from peer_conduit.ctx.create_rc_qp(
             peer_cq, peer_conduit._recv_cq, prepaid=True

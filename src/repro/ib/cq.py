@@ -2,45 +2,34 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from ..sim import Mailbox, Simulator, Waitable
+from ..sim import Mailbox
 from .types import WorkCompletion
 
 __all__ = ["CompletionQueue"]
 
 
-class CompletionQueue:
-    """A queue of :class:`WorkCompletion` entries.
+class CompletionQueue(Mailbox):
+    """A queue of :class:`WorkCompletion` entries: a :class:`Mailbox`
+    under the verbs names.
 
-    ``wait()`` yields the next completion (blocking the calling
-    process); ``poll()`` is the non-blocking variant returning ``None``
-    when empty.
+    ``push()`` posts a completion, ``wait()`` yields the next one
+    (blocking the calling process) and ``poll()`` is the non-blocking
+    variant returning ``None`` when empty.
     """
 
-    def __init__(self, sim: Simulator, name: str = "cq") -> None:
-        self.sim = sim
-        self.name = name
-        self._mbox = Mailbox(sim, name=name)
+    __slots__ = ()
 
-    def push(self, wc: WorkCompletion) -> None:
-        self._mbox.send(wc)
-
-    def wait(self) -> Waitable:
-        """Waitable delivering the next :class:`WorkCompletion`."""
-        return self._mbox.recv()
-
-    def poll(self) -> Optional[WorkCompletion]:
-        return self._mbox.try_recv()
+    push = Mailbox.send
+    wait = Mailbox.recv
+    poll = Mailbox.try_recv
 
     def drain(self) -> List[WorkCompletion]:
         """Pop everything currently queued (non-blocking)."""
         out = []
         while True:
-            wc = self._mbox.try_recv()
+            wc = self.try_recv()
             if wc is None:
                 return out
             out.append(wc)
-
-    def __len__(self) -> int:
-        return len(self._mbox)

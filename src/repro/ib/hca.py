@@ -17,6 +17,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..cluster import CostModel
+from ..errors import RemoteAccessError
 from ..sim import Counters, Simulator
 from .memory import MemoryManager, MemoryRegion
 from .types import Packet
@@ -163,8 +164,6 @@ class HCA:
             self._revoked_rkeys[region.rkey] = None
 
     def memory_target(self, rkey: int) -> Tuple[MemoryRegion, MemoryManager]:
-        from ..errors import RemoteAccessError
-
         try:
             return self._rkeys[rkey]
         except KeyError:

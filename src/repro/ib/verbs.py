@@ -66,8 +66,8 @@ class VerbsContext:
     # ------------------------------------------------------------------
     # CQs
     # ------------------------------------------------------------------
-    def create_cq(self, name: str = "cq") -> CompletionQueue:
-        return CompletionQueue(self.sim, name=f"pe{self.rank}.{name}")
+    def create_cq(self) -> CompletionQueue:
+        return CompletionQueue(self.sim)
 
     # ------------------------------------------------------------------
     # UD

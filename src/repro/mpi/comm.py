@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import MPIError
 from ..shmem.collectives import tree_parent_children
-from ..sim import Mailbox
+from ..sim import Channels
 
 __all__ = ["Communicator"]
 
@@ -50,22 +50,11 @@ class Communicator:
         self.conduit = pe.conduit
         self.rank = pe.rank
         self.size = pe.npes
-        self._chans: Dict[Tuple, Mailbox] = {}
+        self._chans = Channels(self.sim)
         self._coll_seq: Dict[str, int] = defaultdict(int)
-        self.conduit.register_handler(_MPI_HANDLER, self._on_message)
+        self.conduit.register_handler(_MPI_HANDLER, self._chans.on_message)
 
     # ------------------------------------------------------------------
-    def _chan(self, key: Tuple) -> Mailbox:
-        mbox = self._chans.get(key)
-        if mbox is None:
-            mbox = Mailbox(self.sim, name=f"mpi-{self.rank}-{key}")
-            self._chans[key] = mbox
-        return mbox
-
-    def _on_message(self, src: int, data) -> None:
-        key, payload = data
-        self._chan(key).send((src, payload))
-
     def _next_seq(self, kind: str) -> int:
         seq = self._coll_seq[kind]
         self._coll_seq[kind] += 1
@@ -95,7 +84,7 @@ class Communicator:
             raise MPIError(f"rank {self.rank}: invalid source {source}")
         self.pe.counters.add("mpi.recvs")
         key = ("p2p", source, tag)
-        _src, payload = yield self._chan(key).recv()
+        _src, payload = yield self._chans.recv(key)
         return payload
 
     # ------------------------------------------------------------------
@@ -108,10 +97,10 @@ class Communicator:
         parent, children = tree_parent_children(self.rank, self.size)
         up, down = ("cbar", seq, "u"), ("cbar", seq, "d")
         for _ in children:
-            yield self._chan(up).recv()
+            yield self._chans.recv(up)
         if parent is not None:
             yield from self._send_key(parent, up, None, 0)
-            yield self._chan(down).recv()
+            yield self._chans.recv(down)
         for child in children:
             yield from self._send_key(child, down, None, 0)
 
@@ -123,7 +112,7 @@ class Communicator:
         key = ("cbc", seq)
         parent, children = tree_parent_children(self.rank, self.size, root)
         if parent is not None:
-            _src, data = yield self._chan(key).recv()
+            _src, data = yield self._chans.recv(key)
         size = _size_of(data, nbytes)
         for child in children:
             yield from self._send_key(child, key, data, size)
@@ -138,7 +127,7 @@ class Communicator:
         parent, children = tree_parent_children(self.rank, self.size, root)
         acc = value
         for _ in children:
-            _src, contrib = yield self._chan(key).recv()
+            _src, contrib = yield self._chans.recv(key)
             acc = op(acc, contrib)
         if parent is not None:
             yield from self._send_key(parent, key, acc, _size_of(acc, nbytes))
@@ -165,7 +154,7 @@ class Communicator:
             dst = (self.rank - s) % n
             key = ("cag", seq, k)
             yield from self._send_key(dst, key, dict(blocks), per * len(blocks))
-            _src, incoming = yield self._chan(key).recv()
+            _src, incoming = yield self._chans.recv(key)
             blocks.update(incoming)
         return [blocks[r] for r in range(n)]
 
@@ -191,6 +180,6 @@ class Communicator:
                 dst, key + (shift,), values[dst],
                 _size_of(values[dst], nbytes_each),
             )
-            _s, payload = yield self._chan(key + (shift,)).recv()
+            _s, payload = yield self._chans.recv(key + (shift,))
             out[src] = payload
         return out

@@ -67,10 +67,10 @@ class CollectivesMixin:
         up = ("bar", seq, "up")
         down = ("bar", seq, "down")
         for _ in children:
-            yield self._chan(up).recv()
+            yield self._coll_chans.recv(up)
         if parent is not None:
             yield from self._coll_send(parent, up)
-            yield self._chan(down).recv()
+            yield self._coll_chans.recv(down)
         for child in children:
             yield from self._coll_send(child, down)
 
@@ -105,7 +105,7 @@ class CollectivesMixin:
             yield from self._coll_send(
                 (me - s) % n, key, payload=dict(blocks), nbytes=total
             )
-            _src, incoming = yield self._chan(key).recv()
+            _src, incoming = yield self._coll_chans.recv(key)
             blocks.update(incoming)
         if len(blocks) != n:
             raise ShmemError(
@@ -139,13 +139,13 @@ class CollectivesMixin:
 
         acc = np.frombuffer(self.heap.read(src_addr, nbytes), dtype=dtype).copy()
         for _ in children:
-            _src, data = yield self._chan(up).recv()
+            _src, data = yield self._coll_chans.recv(up)
             acc = ufunc(acc, np.frombuffer(data, dtype=dtype))
         if parent is not None:
             yield from self._coll_send(
                 parent, up, payload=acc.tobytes(), nbytes=nbytes
             )
-            _src, result = yield self._chan(down).recv()
+            _src, result = yield self._coll_chans.recv(down)
         else:
             result = acc.tobytes()
         self.heap.write(dst_addr, result)

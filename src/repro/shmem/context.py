@@ -16,7 +16,7 @@ from ..gasnet import Conduit, SegmentTable
 from ..gasnet.segment import SegmentInfo
 from ..ib import VerbsContext
 from ..pmi import PMIClient
-from ..sim import Barrier, Counters, Mailbox, PhaseTimer, Simulator
+from ..sim import Barrier, Channels, Counters, PhaseTimer, Simulator
 from .heap import SymmetricHeap
 
 __all__ = ["ShmemContext", "COLL_HANDLER"]
@@ -62,12 +62,12 @@ class ShmemContext:
         #: Node-level shared-memory barrier (installed by the Job).
         self.node_barrier: Optional[Barrier] = None
 
-        # Collective plumbing: per-key mailboxes + per-kind sequence
+        # Collective plumbing: per-key channels + per-kind sequence
         # numbers (collective calls are globally ordered, so the same
         # sequence is generated on every PE).
-        self._coll_chan: Dict[tuple, Mailbox] = {}
+        self._coll_chans = Channels(sim)
         self._coll_seq: Dict[str, int] = defaultdict(int)
-        conduit.register_handler(COLL_HANDLER, self._on_coll_message)
+        conduit.register_handler(COLL_HANDLER, self._coll_chans.on_message)
 
         # Separate (non-piggybacked) segment exchange — the baseline
         # behaviour the paper's Section IV-B calls inefficiency #2;
@@ -181,17 +181,6 @@ class ShmemContext:
     # ------------------------------------------------------------------
     # collective channels
     # ------------------------------------------------------------------
-    def _chan(self, key: tuple) -> Mailbox:
-        mbox = self._coll_chan.get(key)
-        if mbox is None:
-            mbox = Mailbox(self.sim, name=f"coll-{self.rank}-{key}")
-            self._coll_chan[key] = mbox
-        return mbox
-
-    def _on_coll_message(self, src: int, data) -> None:
-        key, payload = data
-        self._chan(key).send((src, payload))
-
     def _next_seq(self, kind: str) -> int:
         seq = self._coll_seq[kind]
         self._coll_seq[kind] += 1

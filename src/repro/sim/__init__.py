@@ -9,7 +9,7 @@ from .engine import AllOf, AnyOf, SimEvent, SimulationError, Simulator, Timeout,
 from .process import Process, ProcessFailure, spawn, spawn_batch
 from .profile import KernelProfile
 from .rng import RngRegistry
-from .sync import Barrier, Latch, Mailbox, Semaphore
+from .sync import Barrier, Channels, Mailbox, Semaphore
 from .trace import Counters, PhaseTimer, TraceRecord, Tracer
 
 __all__ = [
@@ -26,9 +26,9 @@ __all__ = [
     "spawn_batch",
     "KernelProfile",
     "Mailbox",
+    "Channels",
     "Semaphore",
     "Barrier",
-    "Latch",
     "RngRegistry",
     "Counters",
     "PhaseTimer",

@@ -1,5 +1,8 @@
 """Application-level integration tests (real results, both modes)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.apps import (
     process_grid,
     solve_heat_serial,
 )
+from repro.apps import graph500
 from repro.apps.nas import grid_2d, grid_3d
 from repro.core import Job, RuntimeConfig
 
@@ -140,7 +144,41 @@ class TestKronecker:
         assert deg.max() > 8 * deg[deg > 0].mean()
 
 
+PERF = Path(__file__).resolve().parents[2] / "perf"
+
+
 class TestGraph500:
+    def test_edge_list_generated_once_and_shared_read_only(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kronecker_edges(*args)
+
+        monkeypatch.setattr(graph500, "kronecker_edges", counted)
+        app = Graph500Hybrid(scale=6, edgefactor=8, nroots=1)
+        run_app(app, npes=8)
+        assert len(calls) == 1
+        edges = app.edges()
+        assert edges is app.edges()
+        assert not edges.flags.writeable
+        # The cached edge list is not part of the app's value.
+        fresh = Graph500Hybrid(scale=6, edgefactor=8, nroots=1)
+        assert app == fresh and hash(app) == hash(fresh)
+
+    def test_results_match_committed_perf_reference(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERF))
+        from workloads import DEFAULT_SEED, WORKLOADS, fingerprint
+
+        workload = WORKLOADS["graph500-hybrid-64"]
+        app = workload.app(True)
+        job = workload.build(workload.sized(True), DEFAULT_SEED)
+        result = job.run(app)
+        reference = json.loads((PERF / "reference.json").read_text())
+        expected = reference["quick"]["graph500-hybrid-64"]
+        assert fingerprint(result)["app_results_sha256"] == \
+            expected["app_results_sha256"]
+
     def test_bfs_validates_with_zero_errors(self):
         result = run_app(
             Graph500Hybrid(scale=7, edgefactor=8, nroots=2), npes=8

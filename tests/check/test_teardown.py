@@ -91,7 +91,7 @@ class TestShutdownDrainsActiveServes:
 
         def scenario():
             # A real half-built client on rank 0 for the serve to target.
-            scq = ctx0.create_cq("forged-send")
+            scq = ctx0.create_cq()
             qp0 = yield from ctx0.create_rc_qp(scq, c0._recv_cq)
             yield from ctx0.modify_init(qp0)
             req = ConnectRequest(src_rank=0, rc_addr=qp0.address)

@@ -64,8 +64,8 @@ def build_ud_rig(plan=None, npes=2, seed=7, cost=None) -> URig:
 
     def boot():
         for ctx in ctxs:
-            scq = ctx.create_cq("ud-send")
-            rcq = ctx.create_cq("ud-recv")
+            scq = ctx.create_cq()
+            rcq = ctx.create_cq()
             qp = yield from ctx.create_ud_qp(scq, rcq)
             rig.qps.append(qp)
             rig.send_cqs.append(scq)

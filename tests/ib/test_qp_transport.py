@@ -12,7 +12,7 @@ from ..conftest import build_rig
 def _mk_ud(rig, rank):
     """Create an activated UD QP for ``rank`` (runs inside a process)."""
     ctx = rig.ctxs[rank]
-    scq, rcq = ctx.create_cq("s"), ctx.create_cq("r")
+    scq, rcq = ctx.create_cq(), ctx.create_cq()
     holder = {}
 
     def proc(sim):
@@ -90,8 +90,8 @@ def _connect_pair(rig, a=0, b=1):
 
     def proc(sim):
         ctxa, ctxb = rig.ctxs[a], rig.ctxs[b]
-        sa, ra = ctxa.create_cq("s"), ctxa.create_cq("r")
-        sb, rb = ctxb.create_cq("s"), ctxb.create_cq("r")
+        sa, ra = ctxa.create_cq(), ctxa.create_cq()
+        sb, rb = ctxb.create_cq(), ctxb.create_cq()
         qa = yield from ctxa.create_rc_qp(sa, ra)
         qb = yield from ctxb.create_rc_qp(sb, rb)
         yield from ctxa.connect_rc_qp(qa, qb.address)

@@ -1,5 +1,6 @@
-"""Property test: the one-deque Mailbox behaves exactly like the
-two-deque reference (one FIFO of messages, one FIFO of receivers)."""
+"""Property test: the single-slot Mailbox behaves exactly like the
+two-deque reference (one FIFO of messages, one FIFO of receivers),
+and keeps an overflow deque only while two or more entries wait."""
 
 from collections import deque
 
@@ -64,6 +65,8 @@ def test_mailbox_matches_two_deque_reference(ops):
             sim.run()
             assert woken == ref.woken
         assert len(mbox) == len(ref)
+        pending = len(ref.items) + len(ref.waiters)
+        assert (mbox._rest is not None) == (pending >= 2)
         # Delivered values are visible on the waitables immediately;
         # only the callbacks wait for the kernel.
         delivered = {t: ev.value for t, ev in events.items() if ev.triggered}

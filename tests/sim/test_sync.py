@@ -1,8 +1,8 @@
-"""Unit tests for mailboxes, semaphores, barriers and latches."""
+"""Unit tests for mailboxes, channels, semaphores and barriers."""
 
 import pytest
 
-from repro.sim import Barrier, Latch, Mailbox, Semaphore, Simulator, spawn
+from repro.sim import Barrier, Channels, Mailbox, Semaphore, Simulator, spawn
 
 
 class TestMailbox:
@@ -83,6 +83,57 @@ class TestMailbox:
         assert mbox.try_recv() is None
 
 
+class TestChannels:
+    def test_key_released_once_message_is_taken(self):
+        sim = Simulator()
+        chans = Channels(sim)
+        chans.deliver("k", "m")
+        assert len(chans) == 1
+        ev = chans.recv("k")
+        assert ev.value == "m"
+        assert len(chans) == 0
+
+    def test_key_released_once_receiver_is_woken(self):
+        sim = Simulator()
+        chans = Channels(sim)
+        ev = chans.recv("k")
+        assert len(chans) == 1 and not ev.triggered
+        chans.deliver("k", "m")
+        assert ev.value == "m"
+        assert len(chans) == 0
+
+    def test_per_key_fifo_across_release(self):
+        sim = Simulator()
+        chans = Channels(sim)
+        chans.deliver("a", 1)
+        chans.deliver("b", "x")
+        chans.deliver("a", 2)
+        assert chans.recv("a").value == 1
+        assert len(chans) == 2
+        assert chans.recv("a").value == 2
+        assert len(chans) == 1
+        chans.deliver("a", 3)  # a fresh mailbox for a released key
+        assert [chans.recv("a").value, chans.recv("b").value] == [3, "x"]
+        assert len(chans) == 0
+
+    def test_blocked_receivers_woken_in_order(self):
+        sim = Simulator()
+        chans = Channels(sim)
+        first, second = chans.recv("k"), chans.recv("k")
+        chans.deliver("k", "m1")
+        assert len(chans) == 1
+        chans.deliver("k", "m2")
+        assert (first.value, second.value) == ("m1", "m2")
+        assert len(chans) == 0
+
+    def test_on_message_delivers_source_and_payload(self):
+        sim = Simulator()
+        chans = Channels(sim)
+        chans.on_message(5, (("bar", 0, "up"), b"data"))
+        assert chans.recv(("bar", 0, "up")).value == (5, b"data")
+        assert len(chans) == 0
+
+
 class TestSemaphore:
     def test_initial_value_validated(self):
         sim = Simulator()
@@ -161,44 +212,3 @@ class TestBarrier:
         spawn(sim, worker(sim, 2.0))
         sim.run()
         assert sorted(gens) == [0, 0, 1, 1]
-
-
-class TestLatch:
-    def test_zero_count_is_open(self):
-        sim = Simulator()
-        latch = Latch(sim, count=0)
-        done = []
-
-        def waiter(sim):
-            yield latch.wait()
-            done.append(sim.now)
-
-        spawn(sim, waiter(sim))
-        sim.run()
-        assert done == [0.0]
-
-    def test_count_down_opens(self):
-        sim = Simulator()
-        latch = Latch(sim, count=3)
-        done = []
-
-        def waiter(sim):
-            yield latch.wait()
-            done.append(sim.now)
-
-        def ticker(sim):
-            for _ in range(3):
-                yield sim.timeout(2.0)
-                latch.count_down()
-
-        spawn(sim, waiter(sim))
-        spawn(sim, ticker(sim))
-        sim.run()
-        assert done == [6.0]
-
-    def test_overdraw_rejected(self):
-        sim = Simulator()
-        latch = Latch(sim, count=1)
-        latch.count_down()
-        with pytest.raises(RuntimeError):
-            latch.count_down()
