@@ -23,8 +23,9 @@ Three gates, all cheap enough for every merge:
    immediately rather than surfacing months later on someone's
    65,536-PE run.  Likewise a per-PE buffer that startup never touches
    (say, an eagerly zeroed heap backing array) blows the memory
-   budget.  The job runs in a fresh child process, so the peak RSS it
-   reports is its own, not the macro gate's.
+   budget.  The job runs in a fresh child process, spawned before the
+   macro gate runs, so the peak RSS it reports is its own, not the
+   macro gate's.
 
 Usage::
 
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rss-kb-per-pe", type=float, default=48.0,
                         help="scale-gate peak-RSS budget in KiB per "
                              "simulated PE (default 48; the reference "
-                             "host peaks ~17 KiB/PE at 16,384 PEs)")
+                             "host peaks ~15 KiB/PE at 16,384 PEs)")
     parser.add_argument("--macro-npes", type=int, default=262144,
                         help="macro-gate job size (default 262144)")
     parser.add_argument("--macro-budget", type=float, default=120.0,
@@ -147,10 +148,12 @@ def main(argv=None) -> int:
     ok = golden_gate()
     if not args.skip_scale:
         # getrusage's high-water is process-wide: the macro gate runs
-        # in this process, the exact gate in a child of its own.
+        # in this process, the exact gate in a child of its own.  A
+        # spawned child's high-water starts at this process's, so the
+        # child goes first, before the macro gate grows this process.
+        ok = scale_gate(args.npes, args.budget, args.rss_kb_per_pe) and ok
         ok = macro_gate(args.macro_npes, args.macro_budget,
                         args.macro_rss_mb) and ok
-        ok = scale_gate(args.npes, args.budget, args.rss_kb_per_pe) and ok
     if not ok:
         print("[scale-smoke] FAILED", flush=True)
         return 1

@@ -142,7 +142,7 @@ class ConduitNetwork:
         return len(self._conduits)
 
 
-@dataclass
+@dataclass(slots=True)
 class Connection:
     """An established RC connection to one remote peer."""
 
@@ -162,6 +162,14 @@ class Conduit:
 
     #: Subclass tag used in reports ("static" / "on-demand").
     mode = "abstract"
+
+    # One conduit per PE: slots keep 8K of them from carrying a dict each.
+    __slots__ = ("sim", "network", "ctx", "cluster", "cost", "pmi", "rank",
+                 "counters", "tracer", "obs", "check", "_handlers", "_conns",
+                 "_recv_cq", "_ud_send_cq", "ud_qp", "_ud_directory",
+                 "_dir_handle", "_dir_parser", "_exchange_payload",
+                 "_payload_cb", "_ready", "_held_requests", "_closed",
+                 "touched_peers", "lifecycle", "peak_connections")
 
     def __init__(
         self,

@@ -63,7 +63,7 @@ from .messages import ConnectReply, ConnectRequest, Disconnect, DisconnectAck
 __all__ = ["OnDemandConduit"]
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingConnect:
     """Client-side state for an in-flight handshake.
 
@@ -80,7 +80,7 @@ class _PendingConnect:
     span: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingDisconnect:
     """State of one in-flight drain handshake (either role).
 
@@ -106,6 +106,10 @@ class OnDemandConduit(Conduit):
     """Connections are made lazily, on first communication."""
 
     mode = "on-demand"
+
+    __slots__ = ("_pending", "_serving", "_active_serves", "_serves_drained",
+                 "_draining", "_disc_acks", "_conn_gens", "_evicted_at",
+                 "_reaper_started", "_reaper_wake")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

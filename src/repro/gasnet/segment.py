@@ -24,7 +24,7 @@ _SEG_FMT = "<QQQ"  # addr, size, rkey
 SEGMENT_WIRE_BYTES = struct.calcsize(_SEG_FMT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentInfo:
     """One registered, remotely accessible memory segment."""
 
@@ -68,6 +68,8 @@ class SegmentTable:
     each of N processes (an O(N^2) simulator cost with no timing
     meaning — the exchange time is charged in bulk at init).
     """
+
+    __slots__ = ("rank", "_by_peer", "_resolver")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank

@@ -30,6 +30,8 @@ class StaticConduit(Conduit):
 
     mode = "static"
 
+    __slots__ = ("_prewired",)
+
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._prewired = False

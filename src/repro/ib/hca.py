@@ -60,6 +60,10 @@ _NAKABLE_KINDS = ("send", "rdma_write", "rdma_read_req", "atomic_req")
 class HCA:
     """A node's InfiniBand adapter."""
 
+    __slots__ = ("sim", "fabric", "node", "lid", "cost", "counters",
+                 "egress_free_at", "_qps", "_next_qpn", "_qp_cache", "_rkeys",
+                 "_revoked_rkeys", "faults", "obs", "check")
+
     def __init__(
         self,
         sim: Simulator,

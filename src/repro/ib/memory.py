@@ -26,7 +26,7 @@ __all__ = ["MemoryRegion", "MemoryManager"]
 _rkey_counter = itertools.count(0x1000)
 
 
-@dataclass
+@dataclass(slots=True)
 class MemoryRegion:
     """A registered, RDMA-accessible buffer.
 
@@ -69,6 +69,9 @@ class MemoryManager:
 
     #: Arbitrary non-zero base so address 0 is always invalid.
     _BASE_ADDR = 0x10_0000
+
+    __slots__ = ("rank", "_next_addr", "_buffers", "_regions", "_by_addr",
+                 "_revoked", "registered_bytes")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank

@@ -27,6 +27,9 @@ class _QueuePairBase:
 
     is_rc = False
 
+    __slots__ = ("hca", "sim", "send_cq", "recv_cq", "owner_rank", "qpn",
+                 "state", "destroyed")
+
     def __init__(
         self,
         hca: "HCA",
@@ -89,6 +92,8 @@ class UDQueuePair(_QueuePairBase):
 
     qp_type = QPType.UD
 
+    __slots__ = ()
+
     def activate(self) -> None:
         """UD has no remote: INIT->RTR->RTS collapses into activation."""
         self._require(QPState.RESET)
@@ -143,6 +148,8 @@ class RCQueuePair(_QueuePairBase):
 
     qp_type = QPType.RC
     is_rc = True
+
+    __slots__ = ("remote", "_pending", "_obs", "_obs_delivered")
 
     def __init__(self, hca, send_cq, recv_cq, owner_rank) -> None:
         super().__init__(hca, send_cq, recv_cq, owner_rank)

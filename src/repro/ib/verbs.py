@@ -40,6 +40,10 @@ __all__ = ["VerbsContext"]
 class VerbsContext:
     """One PE's handle onto its node's HCA."""
 
+    __slots__ = ("sim", "hca", "rank", "cost", "counters", "mm",
+                 "rc_qps_created", "ud_qps_created", "connections_established",
+                 "qp_memory_bytes", "registered_bytes", "_prepaid_rc_qps")
+
     def __init__(
         self,
         sim: Simulator,

@@ -44,6 +44,8 @@ def _size_of(data: Any, nbytes: Optional[int]) -> int:
 class Communicator:
     """MPI_COMM_WORLD over the PE's existing conduit."""
 
+    __slots__ = ("pe", "sim", "conduit", "rank", "size", "_chans", "_coll_seq")
+
     def __init__(self, pe) -> None:
         self.pe = pe
         self.sim = pe.sim

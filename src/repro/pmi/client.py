@@ -27,6 +27,8 @@ __all__ = ["PMIClient", "PMIHandle"]
 class PMIHandle:
     """Completion handle for a non-blocking PMI operation."""
 
+    __slots__ = ("_event",)
+
     def __init__(self, event: SimEvent) -> None:
         self._event = event
 
@@ -41,6 +43,9 @@ class PMIHandle:
 
 class PMIClient:
     """Per-rank PMI client."""
+
+    __slots__ = ("domain", "rank", "daemon", "_fence_epoch", "_iag_epoch",
+                 "_staged_since_fence", "obs")
 
     def __init__(self, domain: PMIDomain, rank: int) -> None:
         self.domain = domain

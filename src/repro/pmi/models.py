@@ -47,8 +47,8 @@ def subtree_rank_counts(cluster: Cluster) -> List[int]:
 
     The up-phase payload a daemon forwards maps every rank in its
     subtree to that rank's contribution, so the message size from node
-    ``k`` is governed by this count (``PMIDomain._entries_of`` with an
-    ``iag:`` cid is ``max(1, len(payload))``).
+    ``k`` is governed by this count (``_CollectiveState.entries`` for an
+    allgather is ``max(1, len(payload))``).
     """
     fanout = tree_fanout(cluster)
     nnodes = cluster.nnodes

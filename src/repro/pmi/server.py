@@ -44,24 +44,41 @@ class _SucceedWith:
         ev.succeed(self.result)
 
 
-@dataclass
+@dataclass(slots=True)
 class _CollectiveState:
     """Per-daemon progress of one tree collective."""
 
     local_needed: int
+    #: A fence carries counts of staged entries, not values.
+    fence: bool = False
     local_arrived: int = 0
     children_needed: int = 0
     children_arrived: int = 0
     #: Merged payload for the subtree rooted here (rank -> value).
     payload: Dict[int, Any] = field(default_factory=dict)
+    #: Fence only: running sum of ``payload``'s staged-entry counts.
+    staged: int = 0
     up_sent: bool = False
     #: Set once the down-phase result reaches this daemon.
     result: Optional[Dict[int, Any]] = None
     waiters: List[SimEvent] = field(default_factory=list)
 
+    @property
+    def entries(self) -> int:
+        """KVS entries a tree message carrying ``payload`` holds.
+
+        For a fence, each rank's contribution is the *count* of entries
+        it staged (the data that must ride the tree), kept as a running
+        sum while contributions merge; for an allgather it is one value
+        per rank.
+        """
+        return max(1, self.staged if self.fence else len(self.payload))
+
 
 class Daemon:
     """One PMI daemon (e.g. a SLURM step daemon) on one node."""
+
+    __slots__ = ("domain", "node", "nlocal", "busy_until", "staging", "_coll")
 
     def __init__(self, domain: "PMIDomain", node: int, nlocal: int) -> None:
         self.domain = domain
@@ -105,7 +122,8 @@ class Daemon:
         state = self._coll.get(cid)
         if state is None:
             state = _CollectiveState(
-                local_needed=self.nlocal, children_needed=len(self.children)
+                local_needed=self.nlocal, fence=cid.startswith("fence:"),
+                children_needed=len(self.children),
             )
             self._coll[cid] = state
         return state
@@ -116,20 +134,24 @@ class Daemon:
         state.local_arrived += 1
         if value is not None:
             state.payload[rank] = value
+            if state.fence:
+                state.staged += int(value)
         self.domain._check_progress(self, cid, when)
 
     def child_contribution(
-        self, cid: str, payload: Dict[int, Any], when: float
+        self, cid: str, payload: Dict[int, Any], staged: int, when: float
     ) -> None:
         state = self.coll(cid)
         state.children_arrived += 1
         state.payload.update(payload)
+        state.staged += staged
         self.domain._check_progress(self, cid, when)
 
-    def deliver_down(self, cid: str, result: Dict[int, Any], when: float) -> None:
+    def deliver_down(self, cid: str, result: Dict[int, Any], entries: int,
+                     when: float) -> None:
         state = self.coll(cid)
         state.result = result
-        self.domain._propagate_down(self, cid, when)
+        self.domain._propagate_down(self, cid, entries, when)
 
 
 class PMIDomain:
@@ -206,18 +228,6 @@ class PMIDomain:
     # ------------------------------------------------------------------
     # Collective progress
     # ------------------------------------------------------------------
-    @staticmethod
-    def _entries_of(cid: str, payload: Dict[int, Any]) -> int:
-        """KVS entries a message carries.
-
-        For a fence, each rank's contribution is the *count* of entries
-        it staged (the data that must ride the tree); for allgather and
-        ring it is one value per rank.
-        """
-        if cid.startswith("fence:"):
-            return max(1, sum(int(v or 0) for v in payload.values()))
-        return max(1, len(payload))
-
     def _check_progress(self, daemon: Daemon, cid: str, when: float) -> None:
         state = daemon.coll(cid)
         if state.up_sent:
@@ -228,20 +238,20 @@ class PMIDomain:
         ):
             state.up_sent = True
             parent = daemon.parent
+            entries = state.entries
             if parent is None:
                 # Root: subtree payload is the full result.
-                result = state.payload
-                if cid.startswith("fence:"):
+                if state.fence:
                     self.kvs.commit(self._collect_staging())
-                daemon.deliver_down(cid, result, when)
+                daemon.deliver_down(cid, state.payload, entries, when)
             else:
                 dst = self.daemons[parent]
-                payload = state.payload
+                payload, staged = state.payload, state.staged
                 self._tree_send(
                     daemon,
                     dst,
-                    entries=self._entries_of(cid, payload),
-                    fn=lambda t, p=payload: dst.child_contribution(cid, p, t),
+                    entries=entries,
+                    fn=lambda t: dst.child_contribution(cid, payload, staged, t),
                     when=when,
                 )
 
@@ -252,18 +262,21 @@ class PMIDomain:
             d.staging = {}
         return staged
 
-    def _propagate_down(self, daemon: Daemon, cid: str, when: float) -> None:
+    def _propagate_down(self, daemon: Daemon, cid: str, entries: int,
+                        when: float) -> None:
+        """Forward the result (``entries`` KVS entries) to the children,
+        then release the local waiters."""
         state = daemon.coll(cid)
         assert state.result is not None
-        total_entries = self._entries_of(cid, state.result)
         t = when
         for child in daemon.children:
             dst = self.daemons[child]
             self._tree_send(
                 daemon,
                 dst,
-                entries=total_entries,
-                fn=lambda tt, d=dst: d.deliver_down(cid, state.result, tt),
+                entries=entries,
+                fn=lambda tt, d=dst: d.deliver_down(cid, state.result,
+                                                    entries, tt),
                 when=t,
             )
         # Release local waiters after the daemon finished its down work.

@@ -14,6 +14,8 @@ __all__ = ["AtomicsMixin"]
 class AtomicsMixin:
     """Mixed into :class:`repro.shmem.runtime.ShmemPE`."""
 
+    __slots__ = ()
+
     def _atomic(self, peer: int, op: str, addr: int, compare: int,
                 operand: int) -> Generator:
         self._require_init()

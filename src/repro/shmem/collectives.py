@@ -55,6 +55,8 @@ _REDUCE_OPS = {
 class CollectivesMixin:
     """Mixed into :class:`repro.shmem.runtime.ShmemPE`."""
 
+    __slots__ = ()
+
     # ------------------------------------------------------------------
     # barriers
     # ------------------------------------------------------------------

@@ -35,6 +35,9 @@ class SymmetricHeap:
     a clear error telling the user to raise ``heap_backing_kb``.
     """
 
+    __slots__ = ("mm", "model_bytes", "size", "base", "_bufcache", "_brk",
+                 "_allocs")
+
     def __init__(self, mm: MemoryManager, model_bytes: int,
                  backing_bytes: Optional[int] = None) -> None:
         if model_bytes < _ALIGN:

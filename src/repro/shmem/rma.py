@@ -18,6 +18,8 @@ __all__ = ["RMAMixin"]
 class RMAMixin:
     """Mixed into :class:`repro.shmem.runtime.ShmemPE`."""
 
+    __slots__ = ()
+
     # ------------------------------------------------------------------
     def put(self, peer: int, addr: int, data: bytes) -> Generator:
         """shmem_putmem: write ``data`` to ``addr`` at ``peer``."""

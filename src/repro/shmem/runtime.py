@@ -61,6 +61,9 @@ def install_timeline_probes(timeline, pes) -> None:
 class ShmemPE(ShmemContext, RMAMixin, AtomicsMixin, CollectivesMixin):
     """One OpenSHMEM processing element."""
 
+    __slots__ = ("config", "_peers", "init_done_at", "init_duration",
+                 "_resource_snapshot", "mpi")
+
     def __init__(
         self,
         sim: Simulator,
@@ -78,6 +81,8 @@ class ShmemPE(ShmemContext, RMAMixin, AtomicsMixin, CollectivesMixin):
         #: Simulated time at which start_pes returned (for metrics).
         self.init_done_at: Optional[float] = None
         self.init_duration: Optional[float] = None
+        #: MPI communicator; ``Job.run`` attaches one for hybrid apps.
+        self.mpi = None
 
     # ------------------------------------------------------------------
     def _peer(self, rank: int) -> "ShmemPE":

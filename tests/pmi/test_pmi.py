@@ -232,3 +232,40 @@ class TestFenceScaling:
         # Growth is dominated by full-KVS dissemination: superlinear in
         # entries per hop, so 16x the PEs costs clearly more than 4x.
         assert t1024 / t64 > 4.0
+
+    def test_fence_message_sizes_follow_the_staged_entry_sums(self):
+        # 14 ranks on 7 nodes: a three-level binary daemon tree.  Every
+        # tree message must carry the entries its payload sums to (at
+        # least one): None counts as nothing staged, and node 6's
+        # subtree stages nothing at all.
+        sim, domain, _ = make_domain(npes=14, ppn=2, pmi_tree_fanout=2)
+        staged = {0: 3, 1: None, 2: 0, 3: 5, 4: None, 5: 2, 6: 1,
+                  7: None, 8: 4, 9: 0, 10: 7, 11: 1, 12: None, 13: 0}
+        sent = []
+        tree_send = domain._tree_send
+
+        def record(src, dst, entries, fn, when):
+            sent.append((src.node, dst.node, entries))
+            tree_send(src, dst, entries, fn, when)
+
+        domain._tree_send = record
+        for rank, value in staged.items():
+            domain.daemon_of(rank).local_contribution(
+                "fence:0", rank, value, 0.0)
+        sim.run()
+
+        def old_sum(payload):
+            return max(1, sum(int(v or 0) for v in payload.values()))
+
+        total = old_sum(domain.daemons[0].coll("fence:0").payload)
+        assert total == sum(v or 0 for v in staged.values())
+        expected = []
+        for src, dst, _ in sent:
+            if domain.daemons[src].parent == dst:  # up: the subtree's sum
+                expected.append(old_sum(domain.daemons[src].coll(
+                    "fence:0").payload))
+            else:  # down: the whole fence's sum
+                expected.append(total)
+        assert [entries for _, _, entries in sent] == expected
+        assert (6, 2, 1) in sent
+        assert len(sent) == 2 * (len(domain.daemons) - 1)

@@ -1,8 +1,13 @@
 """Tests for the fast-path kernel: microtask queue, plain-float
 sleeps, lazy callback storage and the opt-in profiler."""
 
+import functools
+from collections import Counter
+
 import pytest
 
+from repro.apps import HelloWorld
+from repro.core import Job, RuntimeConfig
 from repro.sim import (
     KernelProfile,
     ProcessFailure,
@@ -10,6 +15,7 @@ from repro.sim import (
     Simulator,
     spawn,
 )
+from repro.sim.profile import _callback_key
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +275,61 @@ def test_kernel_profile_counts_paths():
     assert snap["events_dispatched"] == snap["events_scheduled"]
     assert 0.0 < snap["micro_ratio"] < 1.0
     assert any("Process" in k for k in snap["by_module"])
+
+
+class _ReferenceProfile(KernelProfile):
+    """Also tallies ``_callback_key`` of every scheduled callback: the
+    reference ``snapshot()["by_module"]`` must equal."""
+
+    __slots__ = ("reference",)
+
+    def __init__(self):
+        super().__init__()
+        self.reference = Counter()
+
+    def _record(self, fn, micro):
+        self.reference[_callback_key(fn)] += 1
+        super()._record(fn, micro)
+
+    def _record_wave(self, fn, n):
+        self.reference[_callback_key(fn)] += n
+        super()._record_wave(fn, n)
+
+
+def test_kernel_profile_by_module_matches_callback_key_on_a_job():
+    job = Job(npes=64, config=RuntimeConfig.proposed())
+    prof = _ReferenceProfile().attach(job.sim)
+    job.run(HelloWorld())
+    snap = prof.snapshot(top=len(prof.reference))
+    assert snap["by_module"] == dict(prof.reference)
+    keys = set(snap["by_module"])
+    assert any(k.endswith("<lambda>") for k in keys)
+    assert "repro.sim.process:Process._on_target" in keys  # bound method
+    assert "repro.sim.engine:_CallbackBatch" in keys
+    assert snap["waves_scheduled"] > 0
+
+
+def test_kernel_profile_by_module_matches_callback_key_on_odd_callables():
+    sim = Simulator()
+    prof = _ReferenceProfile().attach(sim)
+    got = []
+
+    class Note:
+        def __init__(self, arg):
+            got.append(arg)
+
+    def twin_lambdas():
+        return (lambda a: got.append(a)), (lambda a: got.append(-a))
+
+    first, second = twin_lambdas()
+    for t, fn in enumerate([got.append, [].append, Note,
+                            functools.partial(got.append), first, second,
+                            first], start=1):
+        sim._schedule_at(float(t), fn, t)
+    sim.run()
+    assert got == [1, 3, 4, 5, -6, 7]
+    snap = prof.snapshot(top=len(prof.reference))
+    assert snap["by_module"] == dict(prof.reference)
 
 
 def test_kernel_profile_detach_stops_counting():
