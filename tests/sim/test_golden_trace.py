@@ -1,6 +1,6 @@
 """Golden-trace determinism regression.
 
-Replays four runs and compares each full protocol trace — every active
+Replays five runs and compares each full protocol trace — every active
 message, connection request/serve/established, put and get, with exact
 timestamps — byte-for-byte against a committed fixture:
 
@@ -12,7 +12,15 @@ timestamps — byte-for-byte against a committed fixture:
 * ``golden_trace_churn_lru_16.txt``: ``ChurnWorkload(epochs=2)`` under
   an LRU lifecycle policy, pinning the drain/evict/reconnect path;
 * ``golden_trace_faulted_64.txt``: the proposed corner under a fault
-  plan (UD drop/duplicate, QP-create ENOMEM, PMI slowdown).
+  plan (UD drop/duplicate, QP-create ENOMEM, PMI slowdown);
+* ``golden_trace_churn_lru_faulted_16.txt``: the LRU churn run under
+  UD drop/duplicate/delay faults, which reaches the handshake's
+  duplicate, collision and retransmission branches in both directions
+  (connect and drain).  Its ``conduit.*`` counters are pinned too, in
+  ``golden_counters_churn_lru_faulted_16.json``.
+
+Each fixture is also replayed under a strict sanitizer: auditing must
+neither change a byte nor find a violation.
 
 Any scheduling-order or cost-model drift introduced by a kernel
 optimisation shows up here as a diff, not as a silently different
@@ -20,21 +28,29 @@ simulation.  If you change the *model* deliberately, regenerate the
 fixtures::
 
     PYTHONPATH=src python - <<'EOF'
-    from tests.sim.test_golden_trace import GOLDEN, FIXTURES
-    for name, (build, app) in GOLDEN.items():
-        job = build()
-        job.run(app())
+    import json
+    from tests.sim.test_golden_trace import (
+        COUNTERS, FIXTURES, GOLDEN, conduit_counters, golden_job)
+    for name, (_, _, _, app) in GOLDEN.items():
+        job = golden_job(name)
+        res = job.run(app())
         (FIXTURES / name).write_text("\n".join(job.tracer.formatted()) + "\n")
+        if name in COUNTERS:
+            (FIXTURES / COUNTERS[name]).write_text(
+                json.dumps(conduit_counters(res), indent=1) + "\n")
     EOF
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.apps import ChurnWorkload, HelloWorld
+from repro.check import CheckPlan
 from repro.cluster import cluster_a, cluster_b
 from repro.core import Job, RuntimeConfig
+from repro.faults import FaultPlan, UDFault
 from repro.gasnet import LifecyclePolicy
 
 from ..conftest import both_wave_forms
@@ -43,30 +59,54 @@ from ..obs.test_determinism import PLAN
 FIXTURES = Path(__file__).parent.parent / "data"
 FAULTED = RuntimeConfig.proposed(faults=PLAN)
 FIXTURE = FIXTURES / "golden_trace_ondemand_128.txt"
+LRU = LifecyclePolicy(policy="lru")
+CHURN_FAULTS = FaultPlan(
+    name="churn-faulted",
+    ud=(
+        UDFault("drop", prob=0.1),
+        UDFault("duplicate", prob=0.1, delay_us=40.0, jitter_us=30.0),
+        UDFault("delay", prob=0.1, delay_us=60.0, jitter_us=60.0),
+    ),
+)
 
-#: fixture name -> (job builder, app factory)
+#: fixture name -> (npes, config, cluster factory, app factory)
 GOLDEN = {
     "golden_trace_ondemand_128.txt": (
-        lambda: Job(128, RuntimeConfig.proposed(), cluster_b(128, ppn=16),
-                    trace=True),
+        128, RuntimeConfig.proposed(), lambda: cluster_b(128, ppn=16),
         HelloWorld,
     ),
     "golden_trace_static_64.txt": (
-        lambda: Job(64, RuntimeConfig.current(), cluster_b(64, ppn=16),
-                    trace=True),
+        64, RuntimeConfig.current(), lambda: cluster_b(64, ppn=16),
         HelloWorld,
     ),
     "golden_trace_churn_lru_16.txt": (
-        lambda: Job(16, RuntimeConfig.proposed(
-            lifecycle=LifecyclePolicy(policy="lru")), cluster_a(16),
-            trace=True),
+        16, RuntimeConfig.proposed(lifecycle=LRU), lambda: cluster_a(16),
         lambda: ChurnWorkload(epochs=2),
     ),
     "golden_trace_faulted_64.txt": (
-        lambda: Job(64, FAULTED, cluster_b(64, ppn=16), trace=True),
-        HelloWorld,
+        64, FAULTED, lambda: cluster_b(64, ppn=16), HelloWorld,
+    ),
+    "golden_trace_churn_lru_faulted_16.txt": (
+        16, RuntimeConfig.proposed(lifecycle=LRU, faults=CHURN_FAULTS),
+        lambda: cluster_a(16), lambda: ChurnWorkload(epochs=2),
     ),
 }
+
+#: fixture name -> its pinned ``conduit.*`` counter dict
+COUNTERS = {
+    "golden_trace_churn_lru_faulted_16.txt":
+        "golden_counters_churn_lru_faulted_16.json",
+}
+
+
+def golden_job(name, check=None):
+    npes, config, cluster, _ = GOLDEN[name]
+    return Job(npes, config.evolve(check=check), cluster(), trace=True)
+
+
+def conduit_counters(result):
+    return {k: v for k, v in sorted(result.counters.items())
+            if k.startswith("conduit.")}
 
 
 def _assert_matches_fixture(got, fixture):
@@ -85,12 +125,20 @@ def _assert_matches_fixture(got, fixture):
     )
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_trace_matches_golden_fixture(name):
-    build, app = GOLDEN[name]
-    job = build()
-    job.run(app())
+@pytest.mark.parametrize("name,check", [
+    pytest.param(name, check, id=name + suffix)
+    for name in GOLDEN
+    for check, suffix in ((None, ""), (CheckPlan(strict=True), "-strict"))
+])
+def test_trace_matches_golden_fixture(name, check):
+    job = golden_job(name, check)
+    result = job.run(GOLDEN[name][3]())
     _assert_matches_fixture(job.tracer.formatted(), FIXTURES / name)
+    if name in COUNTERS:
+        want = json.loads((FIXTURES / COUNTERS[name]).read_text())
+        assert conduit_counters(result) == want
+    if check is not None:
+        assert result.check["violations"] == []
 
 
 @pytest.mark.parametrize("lifecycle", [None], ids=["no-policy"])
