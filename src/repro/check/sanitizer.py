@@ -43,9 +43,13 @@ pmi
       every daemon collective has completed (result delivered, no
       stranded waiters).
 conduit
-    * No ConnectReply without a matching ConnectRequest.
-    * No serve (server-side QP creation) after teardown began.
-    * No duplicate connection registration for one peer.
+    * Handshake transitions correct code cannot reach, recorded by the
+      conduit under their own ids before it raises
+      ``ProtocolStateError``: a ConnectReply this PE never asked for
+      (``handshake.unsolicited_reply``), a serve after teardown began
+      (``handshake.serve_after_close``).  A second connection
+      registered for one peer is recorded too
+      (``handshake.duplicate_connection``).
     * Teardown completeness: a closed conduit holds no connections at
       the end of the job.
 lifecycle
@@ -101,9 +105,6 @@ class Sanitizer:
         self._shmalloc_seq: Dict[int, List] = {}
         # -- pmi ------------------------------------------------------
         self._kvs_commits = 0
-        # -- conduit --------------------------------------------------
-        #: (rank, peer) pairs for which ``rank`` sent a ConnectRequest.
-        self._requested: set = set()
         # -- lifecycle ------------------------------------------------
         self._evictions = 0
         self._reconnects = 0
@@ -273,37 +274,10 @@ class Sanitizer:
     # ------------------------------------------------------------------
     # conduit hooks (called from repro.gasnet)
     # ------------------------------------------------------------------
-    def on_connect_request_sent(self, rank: int, peer: int) -> None:
+    def on_protocol_error(self, rank: int, invariant: str,
+                          detail: str) -> None:
         if self.plan.conduit:
-            self._requested.add((rank, peer))
-
-    def on_connect_reply_rx(self, rank: int, peer: int) -> None:
-        if not self.plan.conduit:
-            return
-        if (rank, peer) not in self._requested:
-            self._violate(
-                "conduit", "handshake.unsolicited_reply",
-                f"ConnectReply from {peer} without a matching request",
-                rank=rank,
-            )
-
-    def on_serve_after_close(self, rank: int, peer: int) -> None:
-        if not self.plan.conduit:
-            return
-        self._violate(
-            "conduit", "handshake.serve_after_close",
-            f"ConnectRequest from {peer} served after teardown began",
-            rank=rank,
-        )
-
-    def on_duplicate_connection(self, rank: int, peer: int) -> None:
-        if not self.plan.conduit:
-            return
-        self._violate(
-            "conduit", "handshake.duplicate_connection",
-            f"second connection registered for peer {peer}",
-            rank=rank,
-        )
+            self._violate("conduit", invariant, detail, rank=rank)
 
     # ------------------------------------------------------------------
     # lifecycle hooks (called from repro.gasnet.ondemand_conduit)
@@ -374,6 +348,7 @@ class Sanitizer:
         """
         before = len(self.violations)
         leaks: List[Dict[str, Any]] = []
+        requested = 0
         if self.plan.ib:
             self._audit_wr_conservation()
             self._audit_cache_accounting()
@@ -385,7 +360,9 @@ class Sanitizer:
             self._audit_collectives()
         if self.plan.conduit:
             self._audit_teardown(conduits)
-        report = self.report(leaks=leaks)
+            requested = sum(link.requested for c in conduits
+                            for link in c._links.values())
+        report = self.report(leaks=leaks, connect_requests_seen=requested)
         if self.plan.strict and len(self.violations) > before:
             raise self.violations[before]
         return report
@@ -502,9 +479,13 @@ class Sanitizer:
                     )
 
     # ------------------------------------------------------------------
-    def report(self, leaks: Optional[List[Dict[str, Any]]] = None
-               ) -> Dict[str, Any]:
-        """The check payload attached to the JobResult."""
+    def report(self, leaks: Optional[List[Dict[str, Any]]] = None,
+               connect_requests_seen: int = 0) -> Dict[str, Any]:
+        """The check payload attached to the JobResult.
+
+        ``connect_requests_seen`` counts (rank, peer) pairs whose
+        ConnectRequest went out (read off the conduits' links).
+        """
         return {
             "plan": self.plan.name,
             "strict": self.plan.strict,
@@ -516,7 +497,7 @@ class Sanitizer:
                 "wr_errored": self._wr_errored,
                 "wr_flushed": self._wr_flushed,
                 "kvs_commits": self._kvs_commits,
-                "connect_requests_seen": len(self._requested),
+                "connect_requests_seen": connect_requests_seen,
                 "evictions": self._evictions,
                 "reconnects": self._reconnects,
             },

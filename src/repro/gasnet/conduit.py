@@ -28,7 +28,8 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Dict, Generator, List, Mapping, Optional
 
 from ..cluster import Cluster
 from ..errors import ConduitError
@@ -50,6 +51,8 @@ from .messages import (
     Disconnect,
     DisconnectAck,
 )
+
+_HANDSHAKE = (ConnectRequest, ConnectReply, Disconnect, DisconnectAck)
 
 __all__ = [
     "Conduit",
@@ -82,7 +85,8 @@ def install_timeline_probes(timeline, conduits: List["Conduit"],
         return max((c.peak_connections for c in conduits), default=0)
 
     def draining() -> int:
-        return sum(len(getattr(c, "_draining", ())) for c in conduits)
+        return sum(link.drain is not None
+                   for c in conduits for link in c._links.values())
 
     def outstanding_wrs() -> int:
         total = 0
@@ -171,6 +175,10 @@ class Conduit:
                  "_payload_cb", "_ready", "_held_requests", "_closed",
                  "touched_peers", "lifecycle", "peak_connections")
 
+    #: Per-peer handshake records (:class:`~repro.gasnet.ondemand_conduit.
+    #: PeerLink`); a conduit that never handshakes has none.
+    _links: Mapping[int, Any] = MappingProxyType({})
+
     def __init__(
         self,
         sim: Simulator,
@@ -258,7 +266,7 @@ class Conduit:
         for req in held:
             spawn(
                 self.sim,
-                self._serve_request(req),
+                self._on_handshake(req),
                 name=f"held-req-{self.rank}<-{req.src_rank}",
             )
 
@@ -335,7 +343,10 @@ class Conduit:
     def _register_connection(self, peer: int, qp: RCQueuePair,
                              send_cq: CompletionQueue) -> Connection:
         if self.check is not None and peer in self._conns:
-            self.check.on_duplicate_connection(self.rank, peer)
+            self.check.on_protocol_error(
+                self.rank, "handshake.duplicate_connection",
+                f"second connection registered for peer {peer}",
+            )
         conn = Connection(
             peer=peer, qp=qp, send_cq=send_cq, lock=Semaphore(self.sim, 1)
         )
@@ -392,11 +403,7 @@ class Conduit:
                     f"pe{self.rank}", "rx",
                     (type(msg).__name__, getattr(msg, "src_rank", None)),
                 )
-            if isinstance(msg, ConnectRequest):
-                yield from self._on_connect_request(msg)
-            elif isinstance(msg, ConnectReply):
-                yield from self._on_connect_reply(msg)
-            elif isinstance(msg, ActiveMessage):
+            if isinstance(msg, ActiveMessage):
                 lc = self.lifecycle
                 if lc is not None:
                     conn = self._conns.get(msg.src_rank)
@@ -405,41 +412,20 @@ class Conduit:
                         conn.credits = lc.credits
                 yield self.cost.am_handler_cpu_us
                 yield from self._dispatch_am(msg)
-            elif isinstance(msg, Disconnect):
-                yield from self._on_disconnect(msg)
-            elif isinstance(msg, DisconnectAck):
-                yield from self._on_disconnect_ack(msg)
+            elif isinstance(msg, _HANDSHAKE):
+                yield from self._on_handshake(msg)
             else:  # pragma: no cover - protocol guard
                 raise ConduitError(
                     f"PE {self.rank}: unexpected message {msg!r}"
                 )
 
-    def _on_connect_request(self, req: ConnectRequest) -> Generator:
-        """Subclasses implement the server side of the handshake."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _on_connect_reply(self, rep: ConnectReply) -> Generator:
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def _on_disconnect(self, msg: Disconnect) -> Generator:
-        """Only the on-demand conduit retires connections."""
+    def _on_handshake(self, msg) -> Generator:
+        """Only the on-demand conduit speaks the UD handshake."""
         raise ConduitError(
-            f"PE {self.rank}: unexpected Disconnect from {msg.src_rank} "
-            f"on a {self.mode} conduit"
-        )
-        yield  # pragma: no cover
-
-    def _on_disconnect_ack(self, msg: DisconnectAck) -> Generator:
-        raise ConduitError(
-            f"PE {self.rank}: unexpected DisconnectAck from "
+            f"PE {self.rank}: unexpected {type(msg).__name__} from "
             f"{msg.src_rank} on a {self.mode} conduit"
         )
         yield  # pragma: no cover
-
-    def _serve_request(self, req: ConnectRequest) -> Generator:
-        yield from self._on_connect_request(req)
 
     # ------------------------------------------------------------------
     # active messages

@@ -20,7 +20,6 @@ from typing import Generator
 
 from ..errors import ConduitError
 from .conduit import Conduit
-from .messages import ConnectReply, ConnectRequest
 
 __all__ = ["StaticConduit"]
 
@@ -95,12 +94,3 @@ class StaticConduit(Conduit):
         )
         self._register_connection(peer, my_qp, my_cq)
         peer_conduit._register_connection(self.rank, peer_qp, peer_cq)
-
-    # -- the static conduit never sees handshake traffic -----------------
-    def _on_connect_request(self, req: ConnectRequest) -> Generator:
-        raise ConduitError("static conduit received a connect request")
-        yield  # pragma: no cover
-
-    def _on_connect_reply(self, rep: ConnectReply) -> Generator:
-        raise ConduitError("static conduit received a connect reply")
-        yield  # pragma: no cover

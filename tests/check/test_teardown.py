@@ -45,13 +45,13 @@ class TestLateRequestDropped:
             observed["qps_after_close"] = len(rig.ctxs[1].hca._qps)
             # A delayed/duplicate ConnectRequest lands after teardown.
             late = ConnectRequest(src_rank=0, rc_addr=c0._conns[1].qp.address)
-            yield from c1._on_connect_request(late)
+            yield from c1._on_handshake(late)
 
         spawn(rig.sim, scenario(), name="scenario")
         rig.sim.run()
         assert rig.counters["conduit.dropped_after_close"] == 1
         assert c1._conns == {}
-        assert c1._serving == {}
+        assert c1._links[0].reply is None
         # Nothing was built for the late request.
         assert len(rig.ctxs[1].hca._qps) == observed["qps_after_close"]
         # Dropping post-close traffic is the *fix*, not a violation.
@@ -72,7 +72,7 @@ class TestLateRequestDropped:
         spawn(rig.sim, scenario(), name="scenario")
         rig.sim.run()
         forged = ConnectRequest(src_rank=0, rc_addr=c0._conns[1].qp.address)
-        gen = c1._do_serve(forged, None)
+        gen = c1._do_serve(c1._links[0], forged)
         with pytest.raises(InvariantViolation) as ei:
             next(gen)
         assert ei.value.layer == "conduit"
@@ -95,7 +95,11 @@ class TestShutdownDrainsActiveServes:
             qp0 = yield from ctx0.create_rc_qp(scq, c0._recv_cq)
             yield from ctx0.modify_init(qp0)
             req = ConnectRequest(src_rank=0, rc_addr=qp0.address)
-            spawn(rig.sim, c1._on_connect_request(req), name="late-serve")
+            # The forged request stands for c0's own: record it as
+            # sent, so the serve's reply is a stale copy there rather
+            # than an unsolicited one.
+            c0._link(1).requested = True
+            spawn(rig.sim, c1._on_handshake(req), name="late-serve")
             yield 1.0  # the serve is now mid-handshake
             observed["serves_at_close"] = c1._active_serves
             yield from c1.shutdown()
@@ -217,14 +221,14 @@ class TestServingTTLTimerAfterClose:
             yield from c0.am_send(1, "ping")
             # The serve just cached its reply; its TTL timer (the full
             # client retry schedule) is pending.  Finalize beats it.
-            observed["serving_at_close"] = dict(c1._serving)
+            observed["serving_at_close"] = c1._links[0].reply
             yield from c1.shutdown()
             yield from c0.shutdown()
 
         spawn(rig.sim, scenario(), name="scenario")
         rig.sim.run()  # runs past the TTL firing on the closed conduit
-        assert observed["serving_at_close"] != {}  # the timer had a target
-        assert c1._serving == {}
+        assert observed["serving_at_close"] is not None  # the timer had a target
+        assert c1._links[0].reply is None
         assert rig.counters["conduit.serving_evicted"] == 0
         assert rig.check.violations == []
 
@@ -266,7 +270,7 @@ class TestChaosShutdown:
         assert errors[-1] == "finalized"
         assert len(errors) == 3  # both senders errored, then finalize
         assert _rc_qps_alive(rig) == []
-        assert c0._pending == {} and c1._pending == {}
+        assert c0._links[1].connect is None and c1._links[0].connect is None
         report = rig.check.final_audit(
             conduits=rig.conduits, pmi_clients=rig.pmi
         )

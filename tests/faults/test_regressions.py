@@ -81,7 +81,8 @@ class TestServingEviction:
 
     def test_serving_cache_is_evicted_after_retry_window(self):
         """Pre-fix, every served peer left a ConnectReply (with its
-        exchange payload) in ``_serving`` for the lifetime of the job."""
+        exchange payload) in its reply cache for the lifetime of the
+        job."""
         rig = build_conduit_rig(npes=2, cost=CostModel().evolve(**self.COST))
         c0, c1 = rig.conduits
         got = []
@@ -93,7 +94,7 @@ class TestServingEviction:
         spawn(rig.sim, pe0(), name="pe0")
         rig.sim.run()
         assert got == [0]
-        assert c1._serving == {}
+        assert c1._links[0].reply is None
         assert rig.counters["conduit.serving_evicted"] == 1
 
     def test_idempotent_retransmit_inside_window_then_silence(self):
@@ -115,18 +116,18 @@ class TestServingEviction:
                 src_rank=0, rc_addr=c0._conns[1].qp.address, attempt=9
             )
             # In-window duplicate: server retransmits the cached reply.
-            yield from c1._on_connect_request(dup)
+            yield from c1._on_handshake(dup)
             observed["in_window"] = rig.counters["conduit.dup_requests"]
             yield 2000.0  # TTL = (3+1)*200us, long past it
-            observed["serving_after_ttl"] = dict(c1._serving)
+            observed["serving_after_ttl"] = c1._links[0].reply
             # Stale duplicate after eviction: nothing to retransmit.
-            yield from c1._on_connect_request(dup)
+            yield from c1._on_handshake(dup)
             observed["after_ttl"] = rig.counters["conduit.dup_requests"]
 
         spawn(rig.sim, scenario(), name="scenario")
         rig.sim.run()
         assert observed["in_window"] == observed["base"] + 1
-        assert observed["serving_after_ttl"] == {}
+        assert observed["serving_after_ttl"] is None
         assert observed["after_ttl"] == observed["in_window"]
         # The retransmitted reply reached the (connected) client and
         # was dropped there as a duplicate — not treated as new.

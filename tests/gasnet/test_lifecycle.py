@@ -37,6 +37,12 @@ def _rc_qps_alive(rig):
     ]
 
 
+def _draining(conduit):
+    """Peers whose connection is mid-drain on ``conduit``."""
+    return {peer: link.drain for peer, link in conduit._links.items()
+            if link.drain is not None}
+
+
 def _drive(rig, gen, name="scenario", for_us=None):
     """Spawn and run.  With a policy installed the reaper ticks until
     shutdown, so ``sim.run()`` never drains — bound those runs with
@@ -136,7 +142,7 @@ class TestIdleEviction:
 
         _drive(rig, scenario(), for_us=20_000.0)
         assert c0._conns == {} and c1._conns == {}
-        assert c0._draining == {} and c1._draining == {}
+        assert _draining(c0) == {} and _draining(c1) == {}
         assert _rc_qps_alive(rig) == []
         assert rig.counters["conduit.evictions"] >= 1
         assert rig.counters["conduit.evicted_by_peer"] >= 1
@@ -158,7 +164,7 @@ class TestIdleEviction:
         _drive(rig, scenario(), for_us=30_000.0)
         assert pings == ["first", "second"]
         assert rig.counters["conduit.reconnects"] >= 1
-        assert c0._conn_gens[1] == 2
+        assert c0._links[1].gen == 2
         assert rig.check.violations == []
 
     def test_traffic_refreshes_idleness(self):
@@ -269,6 +275,37 @@ class TestDrainHandshakeFaults:
         assert _rc_qps_alive(rig) == []
         assert rig.check.violations == []
 
+    def test_every_ack_lost_destroys_unilaterally_then_reconnects(self):
+        """No DisconnectAck ever arrives: each initiator spends its
+        retry budget, destroys its half on its own, and the next send
+        reconnects transparently."""
+        cost = CostModel().evolve(**FAST_RETRY)
+        plan = FaultPlan(
+            name="no-disc-acks",
+            ud=(UDFault("drop", kind="DisconnectAck"),),
+        )
+        rig = build_conduit_rig(npes=2, cost=cost, faults=plan,
+                                lifecycle=FAST_REAP, check=True)
+        c0, c1 = rig.conduits
+        pings = []
+        c1.register_handler("ping", lambda src, data: pings.append(data))
+
+        def scenario():
+            yield from c0.am_send(1, "ping", data="first")
+            yield 8_000.0  # reaped, with every ack dropped
+            assert c0._conns == {} and c1._conns == {}
+            yield from c0.am_send(1, "ping", data="second")
+            yield 8_000.0  # and reaped again
+
+        _drive(rig, scenario(), for_us=30_000.0)
+        assert pings == ["first", "second"]
+        assert rig.counters["conduit.reconnects"] >= 1
+        assert rig.counters["conduit.disconnect_timeouts"] == 2
+        assert rig.counters["conduit.evictions"] == 2
+        assert _draining(c0) == {} and _draining(c1) == {}
+        assert _rc_qps_alive(rig) == []
+        assert rig.check.violations == []
+
     def test_kind_scoping_leaves_other_datagrams_alone(self):
         """A kind-scoped rule must not touch the establish handshake."""
         cost = CostModel().evolve(**FAST_RETRY)
@@ -322,7 +359,7 @@ class TestCollisions:
             # Reconnect the instant our half of the drain is gone —
             # while the initiator, still waiting for its lost ack, has
             # the pair mid-drain.
-            while 1 in c0._conns or 1 in c0._draining:
+            while 1 in c0._conns or 1 in _draining(c0):
                 yield 10.0
             yield from c0.am_send(1, "ping", data="raced")
 
@@ -340,9 +377,9 @@ class TestCollisions:
         # The raced ConnectRequest parked behind the drain, then the
         # pair re-established as a fresh generation.
         assert rig.counters["conduit.requests_during_drain"] >= 1
-        assert c0._draining == {} and c1._draining == {}
+        assert _draining(c0) == {} and _draining(c1) == {}
         assert 1 in c0._conns and 0 in c1._conns
-        assert c0._conn_gens[1] == 2 and c1._conn_gens[0] == 2
+        assert c0._links[1].gen == 2 and c1._links[0].gen == 2
         assert rig.check.violations == []
 
     def test_disconnect_disconnect_collision_lower_rank_wins(self):
@@ -362,7 +399,7 @@ class TestCollisions:
 
         assert rig.counters["conduit.disconnect_collisions"] >= 1
         assert c0._conns == {} and c1._conns == {}
-        assert c0._draining == {} and c1._draining == {}
+        assert _draining(c0) == {} and _draining(c1) == {}
         assert _rc_qps_alive(rig) == []
         # Exactly one pair was torn down, once.
         assert rig.counters["conduit.evictions"] == 2
@@ -398,7 +435,7 @@ class TestShutdownWithLifecycle:
             yield from c1.shutdown()
 
         _drive(rig, scenario())
-        assert c0._closed and c0._draining == {}
+        assert c0._closed and _draining(c0) == {}
         assert _rc_qps_alive(rig) == []
         assert rig.check.violations == []
 
