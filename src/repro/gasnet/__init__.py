@@ -9,7 +9,7 @@ from .messages import (
     Disconnect,
     DisconnectAck,
 )
-from .ondemand_conduit import OnDemandConduit
+from .ondemand_conduit import OnDemandConduit, ProtocolStateError
 from .segment import SegmentInfo, SegmentTable, decode_segments, encode_segments
 from .static_conduit import StaticConduit
 
@@ -25,6 +25,7 @@ __all__ = [
     "LifecyclePolicy",
     "select_victims",
     "OnDemandConduit",
+    "ProtocolStateError",
     "StaticConduit",
     "SegmentInfo",
     "SegmentTable",

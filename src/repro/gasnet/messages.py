@@ -6,7 +6,7 @@ is allocated per AM on the hot path, so these stay ``__dict__``-free.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from ..ib import EndpointAddress
 
@@ -63,20 +63,27 @@ class ConnectRequest:
 
 
 class ConnectReply:
-    """UD connect reply: server -> client, same piggyback rules."""
+    """UD connect reply: server -> client, same piggyback rules.
 
-    __slots__ = ("src_rank", "rc_addr", "payload", "span_id")
+    ``dst_qpn`` names the client QP whose request this answers (like the
+    remote QPN in an IB CM reply, it is part of the fixed header), so a
+    client can tell its own reply from a stale copy for an older QP.
+    """
+
+    __slots__ = ("src_rank", "rc_addr", "payload", "dst_qpn", "span_id")
 
     def __init__(
         self,
         src_rank: int,
         rc_addr: EndpointAddress,
         payload: bytes = b"",
+        dst_qpn: Optional[int] = None,
         span_id=None,
     ) -> None:
         self.src_rank = src_rank
         self.rc_addr = rc_addr
         self.payload = payload
+        self.dst_qpn = dst_qpn
         #: Flight-recorder span context (int or None); not in nbytes.
         self.span_id = span_id
 

@@ -612,8 +612,9 @@ class OnDemandConduit(Conduit):
     def _accept_reply(self, peer, link, rep) -> Generator:
         """connecting + ConnectReply: finish the client handshake."""
         pending = link.connect
-        if pending.qp is None:
-            # Our request is not out yet: a copy from an older attempt.
+        if pending.qp is None or rep.dst_qpn != pending.qp.qpn:
+            # A copy answering an older attempt's QP (ours may not even
+            # exist yet): pairing with it would connect to a dead QP.
             self._stale_reply(peer, link, rep)
             return
         obs = self.obs
@@ -749,7 +750,7 @@ class OnDemandConduit(Conduit):
         yield from self.ctx.modify_rtr(qp, req.rc_addr)
         rep = ConnectReply(
             src_rank=self.rank, rc_addr=qp.address,
-            payload=self._exchange_payload,
+            payload=self._exchange_payload, dst_qpn=req.rc_addr.qpn,
             span_id=sspan.span_id if sspan is not None else None,
         )
         link.reply = rep

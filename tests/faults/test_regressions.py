@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import CostModel
 from repro.errors import ConduitError
+from repro.faults import FaultPlan, UDFault
 from repro.gasnet.messages import ConnectRequest
 from repro.ib.types import Opcode
 from repro.sim import spawn
@@ -189,3 +190,37 @@ class TestRecvOpcodeAndDupDelay:
         # observed gap is delay minus one 64B serialisation slot.
         assert got[1][1] - got[0][1] == pytest.approx(delay, abs=0.1)
         assert rig.counters["fabric.ud_duplicated"] == 1
+
+
+class TestStaleReplyAfterEvict:
+    @pytest.mark.parametrize("delay_us", [1_100.0, 1_200.0],
+                             ids=["qp-being-built", "request-out"])
+    def test_old_incarnation_reply_is_dropped(self, delay_us):
+        """A duplicate of the first incarnation's ConnectReply, delayed
+        past an evict, lands during the reconnect: while its QP is being
+        built, or once its request is out.  It answers the old client
+        QP, so it is stale.  Pre-fix it was accepted, the new QP went to
+        RTR toward the peer's destroyed one, and the next AM failed with
+        RemoteAccessError."""
+        plan = FaultPlan(
+            name="late-dup-reply",
+            ud=(UDFault("duplicate", kind="ConnectReply", first_n=1,
+                        delay_us=delay_us),),
+        )
+        rig = build_conduit_rig(npes=2, faults=plan, check=True)
+        c0, c1 = rig.conduits
+        pings = []
+        c1.register_handler("ping", lambda src, data: pings.append(data))
+
+        def scenario():
+            yield from c0.am_send(1, "ping", data="first")
+            yield from c0._disconnect(1, reason="test")
+            yield from c0.am_send(1, "ping", data="second")
+
+        spawn(rig.sim, scenario(), name="scenario")
+        rig.sim.run()
+        assert pings == ["first", "second"]
+        assert rig.counters["faults.ud_duplicated"] == 1
+        assert rig.counters["conduit.dup_replies"] == 1
+        assert rig.counters["hca.nak_dead_qp"] == 0
+        assert rig.check.violations == []

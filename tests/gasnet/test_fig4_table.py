@@ -77,6 +77,12 @@ def _connecting_with_qp(rig, me, peer):
     _connecting(rig, me, peer, with_qp=True)
 
 
+def _connecting_answered_for_older_qp(rig, me, peer):
+    """The request is out, but the reply names an older client QP."""
+    _connecting(rig, me, peer, with_qp=True)
+    return {"dst_qpn": me._links[peer].connect.qp.qpn - 1}
+
+
 def _serving(rig, me, peer):
     link = me._link(peer)
     link.state, link.requested = SERVING, True
@@ -165,6 +171,8 @@ CASES = [
      _connected_by_reply, 1),
     ("connecting-reply-before-request", CONNECTING, _connecting, REP,
      "conduit.dup_replies", 1),
+    ("connecting-reply-for-an-older-qp", CONNECTING,
+     _connecting_answered_for_older_qp, REP, "conduit.dup_replies", 1),
     ("serving-reply", SERVING, _serving, REP, "conduit.dup_replies", 1),
     ("connected-reply", CONNECTED, _connected, REP, "conduit.dup_replies", 1),
     ("draining-reply", DRAINING, _draining, REP, "conduit.dup_replies", 1),
@@ -194,11 +202,11 @@ CASES = [
 ]
 
 
-def _message(kind, src, rc_addr):
+def _message(kind, src, rc_addr, dst_qpn):
     if kind is REQ:
         return ConnectRequest(src_rank=src, rc_addr=rc_addr)
     if kind is REP:
-        return ConnectReply(src_rank=src, rc_addr=rc_addr)
+        return ConnectReply(src_rank=src, rc_addr=rc_addr, dst_qpn=dst_qpn)
     return kind(src_rank=src, gen=1)
 
 
@@ -221,9 +229,13 @@ def test_cell_outcome(state, setup, kind, outcome, receiver):
     # it asked, so whatever `me` answers is legal there.
     qp, _ = _init_qp(rig, sender.rank)
     sender._link(me.rank).requested = True
-    setup(rig, me, sender.rank)
-    assert me._state(sender.rank, me._links[sender.rank]) == state
-    msg = _message(kind, sender.rank, qp.address)
+    overrides = setup(rig, me, sender.rank) or {}
+    link = me._links[sender.rank]
+    assert me._state(sender.rank, link) == state
+    # A reply answers `me`'s client QP, if it has one.
+    client_qp = link.connect.qp if link.connect is not None else None
+    dst_qpn = overrides.get("dst_qpn", getattr(client_qp, "qpn", None))
+    msg = _message(kind, sender.rank, qp.address, dst_qpn)
     before = rig.counters.as_dict()
     if outcome is ProtocolStateError:
         with pytest.raises(ProtocolStateError) as info:
@@ -248,7 +260,7 @@ class TestSanitizerIds:
 
     def test_unsolicited_reply(self):
         rig = build_conduit_rig(npes=2, check=CheckPlan(name="fig4"))
-        c0, c1 = rig.conduits
+        c1 = rig.conduits[1]
         qp, _ = _init_qp(rig, 0)
         with pytest.raises(InvariantViolation) as info:
             next(c1._on_handshake(ConnectReply(src_rank=0,
@@ -258,7 +270,7 @@ class TestSanitizerIds:
 
     def test_unsolicited_reply_without_a_sanitizer(self):
         rig = build_conduit_rig(npes=2, check=False)
-        c0, c1 = rig.conduits
+        c1 = rig.conduits[1]
         qp, _ = _init_qp(rig, 0)
         with pytest.raises(ProtocolStateError, match=(
             r"^PE 1: ConnectReply from 0 is illegal in state idle "
