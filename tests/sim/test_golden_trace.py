@@ -19,8 +19,10 @@ timestamps — byte-for-byte against a committed fixture:
   (connect and drain).  Its ``conduit.*`` counters are pinned too, in
   ``golden_counters_churn_lru_faulted_16.json``.
 
-Each fixture is also replayed under a strict sanitizer: auditing must
-neither change a byte nor find a violation.
+Each fixture is also replayed under a strict sanitizer, and with the
+flight recorder on, with and without the timeline sampler.  Auditing
+must neither change a byte nor find a violation; observing must change
+neither a byte of the trace nor a counter.
 
 Any scheduling-order or cost-model drift introduced by a kernel
 optimisation shows up here as a diff, not as a silently different
@@ -41,6 +43,7 @@ fixtures::
     EOF
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -99,9 +102,10 @@ COUNTERS = {
 }
 
 
-def golden_job(name, check=None):
+def golden_job(name, check=None, observe=False):
     npes, config, cluster, _ = GOLDEN[name]
-    return Job(npes, config.evolve(check=check), cluster(), trace=True)
+    return Job(npes, config.evolve(check=check, observe=observe), cluster(),
+               trace=True)
 
 
 def conduit_counters(result):
@@ -125,15 +129,32 @@ def _assert_matches_fixture(got, fixture):
     )
 
 
-@pytest.mark.parametrize("name,check", [
-    pytest.param(name, check, id=name + suffix)
+@functools.lru_cache(maxsize=None)
+def unobserved_counters(name):
+    """The flat counters of the plain (unchecked, unobserved) replay."""
+    return golden_job(name).run(GOLDEN[name][3]()).counters
+
+
+#: (check, observe, id suffix): the plain replay, a strict sanitizer,
+#: the flight recorder, and the flight recorder with the timeline on.
+MODES = (
+    (None, False, ""),
+    (CheckPlan(strict=True), False, "-strict"),
+    (None, True, "-observed"),
+    (None, {"timeline": True}, "-timeline"),
+)
+
+
+@pytest.mark.parametrize("name,check,observe", [
+    pytest.param(name, check, observe, id=name + suffix)
     for name in GOLDEN
-    for check, suffix in ((None, ""), (CheckPlan(strict=True), "-strict"))
+    for check, observe, suffix in MODES
 ])
-def test_trace_matches_golden_fixture(name, check):
-    job = golden_job(name, check)
+def test_trace_matches_golden_fixture(name, check, observe):
+    job = golden_job(name, check, observe)
     result = job.run(GOLDEN[name][3]())
     _assert_matches_fixture(job.tracer.formatted(), FIXTURES / name)
+    assert result.counters == unobserved_counters(name)
     if name in COUNTERS:
         want = json.loads((FIXTURES / COUNTERS[name]).read_text())
         assert conduit_counters(result) == want
