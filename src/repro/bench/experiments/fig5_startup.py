@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ...apps import HelloWorld
-from ...obs import diff_snapshots
 from ...shmem import STARTUP_PHASES
 from ..runner import (
     CURRENT,
@@ -41,32 +40,20 @@ SCALE_SIZES = [16384, 32768, 65536, 131072, 262144, 524288, 1048576]
 MACRO_THRESHOLD = 131072
 
 
-def run(sizes: Optional[Sequence[int]] = None, quick: bool = True,
-        timeline=False) -> ExperimentResult:
-    """``timeline`` (opt-in, ``True`` or a TimelineConfig-style dict)
-    samples every run's time-series and adds a current-vs-proposed
-    telemetry diff per size to ``extras["startup_diff"]``.  Off by
-    default: sampling leaves simulated time untouched but the static
-    design's probes walk O(npes) state per tick, which is real wall
-    time at the full sweep sizes."""
+def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
+        ) -> ExperimentResult:
     sizes = list(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES)
-    observe = {"timeline": timeline} if timeline else False
     specs = [
-        job_spec(HelloWorld(), npes, config, testbed="B", observe=observe)
+        job_spec(HelloWorld(), npes, config, testbed="B")
         for npes in sizes
         for config in (CURRENT, PROPOSED)
     ]
     results = run_jobs(specs)
     rows: List[list] = []
     raw: Dict[int, Dict[str, object]] = {}
-    startup_diff: Dict[int, dict] = {}
     for i, npes in enumerate(sizes):
         current, proposed = results[2 * i], results[2 * i + 1]
         raw[npes] = {"current": current, "proposed": proposed}
-        if timeline:
-            startup_diff[npes] = diff_snapshots(
-                current.telemetry, proposed.telemetry
-            )
         init_ratio = current.startup.mean_us / proposed.startup.mean_us
         wall_ratio = current.wall_time_us / proposed.wall_time_us
         rows.append([
@@ -89,7 +76,7 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True,
         rows=rows,
         note="proposed start_pes is near-constant; paper reports ~3x init "
              "and ~8.3x Hello World at 8192",
-        extras={"raw": raw, "startup_diff": startup_diff or None},
+        extras={"raw": raw},
     )
 
 

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ...apps import ChurnWorkload
 from ...gasnet import LifecyclePolicy
-from ...obs import diff_snapshots, series_peak
+from ...obs import series_peak
 from ..runner import PROPOSED, ExperimentResult, job_spec, run_jobs
 
 FULL_SIZES = [256, 1024]
@@ -83,7 +83,7 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
         final = max(r["final_connections"] for r in result.app_results)
         evictions = result.counters.get("conduit.evictions", 0)
         reconnects = result.counters.get("conduit.reconnects", 0)
-        hist = result.telemetry["metrics"]["histograms"].get(
+        hist = result.telemetry["histograms"].get(
             "conduit.reconnect_latency_us"
         )
         p50 = hist["p50"] if hist else float("nan")
@@ -115,15 +115,6 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
             "-" if hist is None else f"{p99:.1f}",
         ])
 
-    # How much footprint does eviction actually buy?  Diff the
-    # evict-never telemetry against lru at the largest size: the
-    # conduit.peak_connections delta is the figure's headline number.
-    footprint_diff = None
-    largest = sizes[-1]
-    if "off" in telemetry and "lru" in telemetry:
-        footprint_diff = diff_snapshots(
-            telemetry["off"][largest], telemetry["lru"][largest]
-        )
     return ExperimentResult(
         experiment="Figure 9 (churn)",
         title="QP footprint vs reconnect latency under connection churn "
@@ -138,5 +129,5 @@ def run(sizes: Optional[Sequence[int]] = None, quick: bool = True
              "sampled footprint timeline's maximum (must equal the "
              "scalar peak)",
         extras={"series": series, "epochs": EPOCHS, "partners": PARTNERS,
-                "telemetry": telemetry, "footprint_diff": footprint_diff},
+                "telemetry": telemetry},
     )

@@ -49,7 +49,7 @@ class RuntimeConfig:
     #: RNG master seed for the whole job (a non-negative ``int``).
     seed: int = 12345
     #: Enable the flight recorder (:mod:`repro.obs`): span tracing +
-    #: metrics registry on every substrate.  Off by default; when off
+    #: latency histograms on every substrate.  Off by default; when off
     #: the instrumentation costs one predicate check per site.
     #: Accepts ``bool``, ``{"timeline": ...}`` (adds the time-series
     #: sampler), or a :class:`repro.obs.TimelineConfig`; normalised to

@@ -79,7 +79,7 @@ class Job:
 
         # -- machine assembly ------------------------------------------
         self.sim = Simulator()
-        #: Flight recorder (spans + metrics registry, optionally the
+        #: Flight recorder (spans + histograms, optionally the
         #: timeline sampler); None unless the config sets observe=True
         #: / observe={"timeline": ...}.  Every substrate holds an
         #: ``obs`` pointer that stays None when off, so instrumentation
@@ -108,8 +108,6 @@ class Job:
         self.pmi = [PMIClient(self.pmi_domain, r) for r in range(npes)]
         if self.obs is not None:
             self.fabric.obs = self.obs
-            for hca in self.hcas:
-                hca.obs = self.obs
             self.pmi_domain.obs = self.obs
             for client in self.pmi:
                 client.obs = self.obs

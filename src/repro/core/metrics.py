@@ -88,8 +88,10 @@ class JobResult:
     #: Per-PE values returned by the application's run().
     app_results: List[Any]
     counters: Dict[str, int]
-    #: Flight-recorder payload (span stats + metrics snapshot) when the
-    #: job ran with ``observe=True``; ``None`` otherwise.
+    #: The run's telemetry record (span stats, the flat counters,
+    #: histograms and, when sampled, the timeline; schema in
+    #: :mod:`repro.obs`) when the job ran with ``observe=True``;
+    #: ``None`` otherwise.
     telemetry: Optional[Dict[str, Any]] = None
     #: Sanitizer report (plan, violations, stats, leak report) when the
     #: job ran with ``check=...``; ``None`` otherwise.

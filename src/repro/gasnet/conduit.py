@@ -100,9 +100,9 @@ def install_timeline_probes(timeline, conduits: List["Conduit"],
     timeline.add_probe("conduit.peak_connections", peak_connections)
     timeline.add_probe("conduit.draining", draining)
     timeline.add_probe("conduit.outstanding_wrs", outstanding_wrs)
-    # Cumulative counts sampled over time (rates fall out in the diff
-    # tool); Counters.__getitem__ reads without inserting, so these are
-    # side-effect-free too.
+    # Cumulative counts sampled over time; the diff tool reports their
+    # peak and final value like any series.  Counters.__getitem__ reads
+    # without inserting, so these are side-effect-free too.
     timeline.add_probe("conduit.evictions", lambda: counters["conduit.evictions"],
                        kind="counter")
     timeline.add_probe("conduit.reconnects",

@@ -378,15 +378,8 @@ class OnDemandConduit(Conduit):
                 self.counters.add("conduit.disconnect_timeouts")
                 outcome = "timeout"
             self.counters.add("conduit.evictions")
-            if obs is not None:
-                # Labelled registry series (policy = whichever policy
-                # evicted, "idle"/"manual" for non-reaper retirements)
-                # so lru-vs-credit comparisons fall out of telemetry
-                # alone, next to conduit.reconnect_latency_us.
-                obs.metrics.counter("conduit.evictions",
-                                    policy=reason).inc()
-                if pending.span is not None:
-                    obs.spans.finish(pending.span, outcome=outcome)
+            if obs is not None and pending.span is not None:
+                obs.spans.finish(pending.span, outcome=outcome)
         finally:
             self._finish_draining(link, pending)
 
@@ -631,7 +624,7 @@ class OnDemandConduit(Conduit):
         if obs is not None:
             span = pending.span
             if span is not None:
-                obs.metrics.histogram("conduit.handshake_rtt_us").observe(
+                obs.histogram("conduit.handshake_rtt_us").observe(
                     self.sim.now - span.start_us
                 )
                 if span.end_us is None:
@@ -691,8 +684,6 @@ class OnDemandConduit(Conduit):
         the previous incarnation.  The drain wins (serving now would
         pair a fresh QP with a half-dead one); the request re-enters
         the table once the drain completes."""
-        # Observed runs export it as the label-less telemetry series
-        # conduit.requests_during_drain.
         self.counters.add("conduit.requests_during_drain")
         spawn(self.sim, self._replay_after_drain(link, req),
               name=f"parked-req-{self.rank}<-{peer}")
@@ -969,9 +960,8 @@ class OnDemandConduit(Conduit):
             evicted_at, link.evicted_at = link.evicted_at, None
             obs = self.obs
             if obs is not None and evicted_at is not None:
-                obs.metrics.histogram(
-                    "conduit.reconnect_latency_us"
-                ).observe(self.sim.now - evicted_at)
+                obs.histogram("conduit.reconnect_latency_us").observe(
+                    self.sim.now - evicted_at)
             if self.check is not None:
                 self.check.on_reconnect(self.rank, peer)
         return conn

@@ -62,7 +62,7 @@ class HCA:
 
     __slots__ = ("sim", "fabric", "node", "lid", "cost", "counters",
                  "egress_free_at", "_qps", "_next_qpn", "_qp_cache", "_rkeys",
-                 "_revoked_rkeys", "faults", "obs", "check")
+                 "_revoked_rkeys", "faults", "check")
 
     def __init__(
         self,
@@ -90,8 +90,6 @@ class HCA:
         self._revoked_rkeys: Dict[int, None] = {}
         #: Optional fault injector (installed by ``Job`` if ``config.faults``).
         self.faults: Optional["FaultInjector"] = None
-        #: Flight recorder (installed by ``Job`` if ``config.observe``).
-        self.obs = None
         #: Invariant sanitizer (installed by ``Job`` if ``config.check``).
         self.check = None
         fabric.attach(self)
@@ -152,10 +150,6 @@ class HCA:
         self.counters.add("hca.qp_cache_misses")
         if self.check is not None:
             self.check.on_cache_touch(self, hit=False, evicted=evicted)
-        if self.obs is not None:
-            self.obs.metrics.histogram(
-                "hca.qp_cache_miss_penalty_us", node=self.node
-            ).observe(self.cost.qp_cache_miss_penalty_us)
         return self.cost.qp_cache_miss_penalty_us
 
     # -- memory routing -------------------------------------------------------

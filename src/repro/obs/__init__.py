@@ -1,16 +1,25 @@
-"""repro.obs — the flight recorder: spans, metrics, exporters.
+"""repro.obs — the flight recorder: spans, histograms, timeline, exporters.
 
 One :class:`Observability` object per observed :class:`~repro.core.job.
-Job` aggregates the two recording surfaces:
+Job` holds the recording surfaces:
 
 * :attr:`Observability.spans` — a :class:`SpanTracer` capturing nested,
   causally-linked spans across every substrate (SHMEM startup phases,
   on-demand handshakes, QP state machines, PMI collectives, fault
   hits);
-* :attr:`Observability.metrics` — a :class:`MetricsRegistry` of
-  gauges, histograms and labelled counters.  The job's flat
-  :class:`~repro.sim.trace.Counters` stay the one flat counter API;
-  :meth:`Observability.telemetry` adds them as label-less series.
+* :meth:`Observability.histogram` — one log2-bucket latency
+  :class:`Histogram` per name;
+* :attr:`Observability.timeline` — the optional time-series sampler.
+
+The job's flat :class:`~repro.sim.trace.Counters` stay the one counter
+surface.  :meth:`Observability.telemetry` folds all of it into the one
+machine-readable run record, ``JobResult.telemetry``::
+
+    {"spans": {"count", "dropped", "open"},
+     "counters": {name: int},              # the flat Counters, as is
+     "histograms": {name: {count, sum, min, max, mean, p50, p99, buckets}},
+     "timeline": {"interval_us", "samples",          # only when sampled
+                  "series": {name: {kind, dropped, t, value}}}}
 
 Layers hold a plain ``obs`` attribute that is ``None`` unless the job's
 config sets ``observe=True`` — instrumentation sites cost exactly
@@ -19,8 +28,9 @@ _prof`` discipline), which is what keeps the golden traces and the
 wall-clock bench untouched by this module's existence.
 
 Export with :meth:`Observability.chrome_trace` (Perfetto-loadable) or
-:meth:`Observability.flat_spans` (byte-stable golden text), or from the
-command line::
+:meth:`Observability.flat_spans` (byte-stable golden text), compare two
+records with ``python -m repro.obs diff``, or run from the command
+line::
 
     PYTHONPATH=src python -m repro.obs --npes 64 --out trace.json
 """
@@ -31,6 +41,7 @@ from typing import Any, Dict, List, Optional
 
 from ..sim import Counters, Simulator
 from .diff import (
+    RECORD_KEYS,
     diff_snapshots,
     format_diff,
     load_snapshot,
@@ -40,26 +51,15 @@ from .diff import (
 from .export import (
     chrome_trace,
     flat_dump,
-    parse_prometheus_text,
-    parse_timeline_csv,
-    prometheus_text,
     span_descendants,
     span_index,
     timeline_counter_events,
     timeline_csv,
     validate_chrome_trace,
 )
-from .metrics import (
-    BUCKET_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    bucket_index,
-)
+from .metrics import BUCKET_BOUNDS, Histogram, bucket_index
 from .spans import Span, SpanTracer
 from .timeline import (
-    Probe,
     SeriesBuffer,
     Timeline,
     TimelineConfig,
@@ -71,15 +71,11 @@ __all__ = [
     "Observability",
     "Span",
     "SpanTracer",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
     "Histogram",
     "BUCKET_BOUNDS",
     "bucket_index",
     "Timeline",
     "TimelineConfig",
-    "Probe",
     "SeriesBuffer",
     "parse_observe",
     "canonical_observe",
@@ -90,9 +86,7 @@ __all__ = [
     "validate_chrome_trace",
     "timeline_counter_events",
     "timeline_csv",
-    "parse_timeline_csv",
-    "prometheus_text",
-    "parse_prometheus_text",
+    "RECORD_KEYS",
     "load_snapshot",
     "diff_snapshots",
     "format_diff",
@@ -102,45 +96,47 @@ __all__ = [
 
 
 class Observability:
-    """Span tracer + metrics registry for one observed job."""
+    """Span tracer, histograms and optional timeline for one observed job."""
 
     def __init__(self, sim: Simulator, span_capacity: int = 1_000_000,
                  timeline: Optional[TimelineConfig] = None) -> None:
         self.sim = sim
         self.spans = SpanTracer(sim, capacity=span_capacity)
-        self.metrics = MetricsRegistry()
+        self.histograms: Dict[str, Histogram] = {}
         #: Time-series sampler; ``None`` unless the job asked for
         #: ``observe={"timeline": ...}``.
         self.timeline: Optional[Timeline] = (
             Timeline(sim, timeline) if timeline is not None else None
         )
 
+    def histogram(self, name: str) -> Histogram:
+        """The histogram called ``name``, created on first use."""
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram()
+        return hist
+
     # ------------------------------------------------------------------
     # results / export
     # ------------------------------------------------------------------
     def telemetry(self, counters: Counters) -> Dict[str, Any]:
-        """The ``JobResult.telemetry`` payload: span stats + metric dump
-        (+ the timeline snapshot when sampling was enabled).
-
-        The job's flat ``counters`` enter the metric dump here, as
-        label-less counter series next to the registry's own.
-        """
-        open_spans = sum(1 for s in self.spans if s.end_us is None)
-        metrics = self.metrics.snapshot()
-        metrics["counters"] = dict(sorted(
-            {**metrics["counters"], **counters.as_dict()}.items()
-        ))
-        payload: Dict[str, Any] = {
+        """The ``JobResult.telemetry`` record (schema in the module
+        docstring)."""
+        record: Dict[str, Any] = {
             "spans": {
                 "count": len(self.spans),
                 "dropped": self.spans.dropped,
-                "open": open_spans,
+                "open": sum(1 for s in self.spans if s.end_us is None),
             },
-            "metrics": metrics,
+            "counters": dict(sorted(counters.as_dict().items())),
+            "histograms": {
+                name: self.histograms[name].snapshot()
+                for name in sorted(self.histograms)
+            },
         }
         if self.timeline is not None:
-            payload["timeline"] = self.timeline.snapshot()
-        return payload
+            record["timeline"] = self.timeline.snapshot()
+        return record
 
     def chrome_trace(self, label: str = "repro simulated job") -> Dict[str, Any]:
         """Chrome trace-event JSON object (see :func:`export.chrome_trace`).

@@ -1,5 +1,5 @@
 """CLI: run an observed job and export its flight-recorder data, or
-diff two telemetry snapshots.
+diff two telemetry records.
 
 Used by the CI ``obs-smoke`` step and by hand::
 
@@ -7,7 +7,7 @@ Used by the CI ``obs-smoke`` step and by hand::
         --out trace.json --flat spans.txt --validate --summary
 
     PYTHONPATH=src python -m repro.obs --npes 64 --timeline \
-        --csv timeline.csv --prom metrics.prom
+        --csv timeline.csv --telemetry run_a.json
 
     PYTHONPATH=src python -m repro.obs diff run_a.json run_b.json
 
@@ -33,7 +33,7 @@ from ..cluster import cluster_a, cluster_b
 from ..core import Job, RuntimeConfig
 from ..errors import ConfigError, require_positive_int
 from .diff import diff_snapshots, format_diff, load_snapshot
-from .export import prometheus_text, timeline_csv, validate_chrome_trace
+from .export import timeline_csv, validate_chrome_trace
 
 _APPS = {
     "hello": lambda: HelloWorld(),
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.obs",
         description="Run a simulated job with the flight recorder on and "
-                    "export spans/metrics/timeline "
+                    "export its spans, timeline and telemetry record "
                     "(or: python -m repro.obs diff A B).",
     )
     p.add_argument("--npes", type=int, default=64, help="number of PEs")
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override RNG seed")
     p.add_argument("--timeline", action="store_true",
                    help="enable the time-series sampler (counter tracks in "
-                        "the Chrome trace, --csv/--prom exports)")
+                        "the Chrome trace, the --csv export)")
     p.add_argument("--interval-us", type=float, default=None,
                    metavar="US", help="timeline sampling cadence "
                    "(simulated us; implies --timeline)")
@@ -90,11 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the deterministic flat span dump here")
     p.add_argument("--csv", default=None, metavar="TIMELINE.csv",
                    help="write the timeline series as CSV here")
-    p.add_argument("--prom", default=None, metavar="METRICS.prom",
-                   help="write Prometheus-style metrics exposition here")
     p.add_argument("--telemetry", default=None, metavar="TELEMETRY.json",
-                   help="write the full JobResult.telemetry JSON here "
-                        "(the input format of `repro.obs diff`)")
+                   help="write the JobResult.telemetry record as JSON "
+                        "here (the input of `repro.obs diff`)")
     p.add_argument("--validate", action="store_true",
                    help="schema-validate the Chrome trace before writing "
                         "(with --timeline, also require counter tracks)")
@@ -110,8 +108,7 @@ def _run_main(argv: List[str]) -> int:
     if args.csv and not timeline_on:
         raise CliError("--csv requires --timeline")
     outputs = [("--out", args.out), ("--flat", args.flat),
-               ("--csv", args.csv), ("--prom", args.prom),
-               ("--telemetry", args.telemetry)]
+               ("--csv", args.csv), ("--telemetry", args.telemetry)]
     for flag, path in outputs:
         if path is not None:
             _validate_output_path(path, flag)
@@ -158,16 +155,12 @@ def _run_main(argv: List[str]) -> int:
             fh.write("\n".join(job.obs.flat_spans()) + "\n")
         print(f"wrote {args.flat}: {len(job.obs.spans)} spans")
 
-    tele = result.telemetry or {}
+    tele = result.telemetry
     if args.csv:
-        snapshot = tele.get("timeline", {"series": {}})
+        snapshot = tele["timeline"]
         with open(args.csv, "w") as fh:
             fh.write(timeline_csv(snapshot))
-        print(f"wrote {args.csv}: {len(snapshot.get('series', {}))} series")
-    if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(tele.get("metrics", {})))
-        print(f"wrote {args.prom}")
+        print(f"wrote {args.csv}: {len(snapshot['series'])} series")
     if args.telemetry:
         with open(args.telemetry, "w") as fh:
             json.dump(tele, fh, indent=None, separators=(",", ":"))
@@ -178,10 +171,9 @@ def _run_main(argv: List[str]) -> int:
             "npes": args.npes,
             "config": config.label,
             "wall_time_us": result.wall_time_us,
-            "spans": tele.get("spans"),
-            "counters": tele.get("metrics", {}).get("counters"),
-            "histograms": sorted(
-                tele.get("metrics", {}).get("histograms", {})),
+            "spans": tele["spans"],
+            "counters": tele["counters"],
+            "histograms": sorted(tele["histograms"]),
         }
         if "timeline" in tele:
             summary["timeline"] = {
@@ -198,11 +190,11 @@ def _run_main(argv: List[str]) -> int:
 def build_diff_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.obs diff",
-        description="Align two telemetry snapshots (JSON / CSV / "
-                    "Prometheus text) and report per-series deltas.",
+        description="Align two telemetry records (JSON written by "
+                    "--telemetry) and report per-series deltas.",
     )
-    p.add_argument("a", metavar="A", help="baseline snapshot")
-    p.add_argument("b", metavar="B", help="comparison snapshot")
+    p.add_argument("a", metavar="A", help="baseline record")
+    p.add_argument("b", metavar="B", help="comparison record")
     p.add_argument("--json", action="store_true",
                    help="emit the raw diff report as JSON")
     p.add_argument("--output", default=None, metavar="REPORT",

@@ -1,17 +1,16 @@
-"""Run comparison: align two telemetry snapshots, report the deltas.
+"""Run comparison: align two telemetry records, report the deltas.
 
 The paper's experiments are *pairs* — static vs on-demand startup,
 evict-never vs LRU churn — and the interesting result is always the
-delta between two trajectories (e.g. fig9's footprint 57 vs 18 at
-1,024 PEs).  This module turns any two telemetry artifacts into that
-report:
+delta between two runs (e.g. fig9's footprint 57 vs 18 at 1,024 PEs).
+This module turns two ``JobResult.telemetry`` records into that report:
 
-* :func:`load_snapshot` accepts a ``JobResult.telemetry`` JSON dump, a
-  bare timeline snapshot, a ``repro.obs`` CSV, or a Prometheus-style
-  exposition, and normalises all of them to one shape.
-* :func:`diff_snapshots` aligns the series/counters/histograms by key
-  and computes per-series peak/final deltas, counter deltas, and
-  histogram count/mean/p50/p99 deltas.
+* :func:`load_snapshot` reads one record written as JSON (``python -m
+  repro.obs --telemetry``); anything else fails with one line naming
+  the file and what is wrong with it.
+* :func:`diff_snapshots` aligns the timeline series, counters and
+  histograms by key and computes per-series peak/final deltas, counter
+  deltas, and histogram count/mean/p50/p99 deltas.
 * :func:`format_diff` renders the report as deterministic text.
 
 Command line::
@@ -22,12 +21,10 @@ Command line::
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, List, Optional
 
-from .export import parse_prometheus_text, parse_timeline_csv
-
 __all__ = [
+    "RECORD_KEYS",
     "load_snapshot",
     "diff_snapshots",
     "format_diff",
@@ -35,78 +32,53 @@ __all__ = [
     "series_final",
 ]
 
-
-def _empty() -> Dict[str, Any]:
-    return {"series": {}, "counters": {}, "gauges": {}, "histograms": {}}
-
-
-def _normalize(obj: Dict[str, Any]) -> Dict[str, Any]:
-    """Map any of the JSON shapes we emit onto the canonical one."""
-    snap = _empty()
-    if "timeline" in obj and isinstance(obj["timeline"], dict):
-        snap["series"] = obj["timeline"].get("series", {})
-    elif "series" in obj:
-        snap["series"] = obj.get("series", {})
-    metrics = obj.get("metrics", obj)
-    if isinstance(metrics, dict):
-        for kind in ("counters", "gauges", "histograms"):
-            value = metrics.get(kind)
-            if isinstance(value, dict):
-                snap[kind] = value
-    return snap
+#: The keys every telemetry record carries; ``timeline`` joins them
+#: only when sampling was on.
+RECORD_KEYS = ("spans", "counters", "histograms")
 
 
 def load_snapshot(path: str) -> Dict[str, Any]:
-    """Read + normalise one telemetry artifact.
+    """Read one telemetry record from a JSON file.
 
-    Dispatches on content, not just extension: JSON objects
-    (``JobResult.telemetry`` dumps, bare timeline snapshots, or metric
-    snapshots), timeline CSVs, and Prometheus-style text all load.
     Raises ``OSError`` / ``ValueError`` with a one-line reason on
-    missing or corrupt input (the CLI turns those into exit code 2).
+    missing, corrupt or foreign input (the CLI turns those into exit
+    code 2).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: empty telemetry file")
-    if stripped.startswith(("{", "[")):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        if stripped.startswith(("{", "[")):
             raise ValueError(f"{path}: corrupt JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise ValueError(f"{path}: JSON telemetry must be an object")
-        return _normalize(obj)
-    first_line = stripped.splitlines()[0]
-    if first_line.startswith("series,"):
-        try:
-            return _normalize(parse_timeline_csv(text))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if first_line.startswith("#") or os.path.splitext(path)[1] == ".prom":
-        try:
-            return _normalize({"metrics": parse_prometheus_text(text)})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    raise ValueError(
-        f"{path}: unrecognised telemetry format (expected JSON, "
-        f"timeline CSV, or Prometheus-style text)"
-    )
+        raise ValueError(
+            f"{path}: unrecognised format, not a JSON telemetry record: "
+            f"missing key {RECORD_KEYS[0]!r}"
+        ) from None
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: JSON telemetry must be an object")
+    for key in RECORD_KEYS:
+        if key not in record:
+            raise ValueError(
+                f"{path}: not a telemetry record: missing key {key!r}")
+    return record
 
 
 # ----------------------------------------------------------------------
 # per-series reductions
 # ----------------------------------------------------------------------
 def series_peak(buf: Dict[str, Any]) -> float:
-    """Largest windowed max — the high-water mark the series saw."""
-    values = buf.get("max", [])
+    """Largest sampled value — the high-water mark the series saw."""
+    values = buf.get("value", [])
     return max(values) if values else 0.0
 
 
 def series_final(buf: Dict[str, Any]) -> float:
     """The last stored sample value."""
-    values = buf.get("last", [])
+    values = buf.get("value", [])
     return values[-1] if values else 0.0
 
 
@@ -114,21 +86,21 @@ def _align(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
     return sorted(dict.fromkeys(list(a) + list(b)))
 
 
+def _series(record: Dict[str, Any]) -> Dict[str, Any]:
+    return record.get("timeline", {}).get("series", {})
+
+
 def diff_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    """Align two normalised snapshots; compute per-key deltas.
+    """Align two telemetry records; compute per-key deltas.
 
     Every entry carries ``only_in`` (``None`` when present in both,
     else ``"a"``/``"b"``) so disappearing series are loud, not silent.
-    Inputs may be canonical snapshots from :func:`load_snapshot` or raw
-    ``JobResult.telemetry`` dicts (normalised here).
     """
-    a = _normalize(a)
-    b = _normalize(b)
-    report: Dict[str, Any] = {"series": {}, "counters": {},
-                              "gauges": {}, "histograms": {}}
+    report: Dict[str, Any] = {"series": {}, "counters": {}, "histograms": {}}
 
-    for key in _align(a["series"], b["series"]):
-        sa, sb = a["series"].get(key), b["series"].get(key)
+    series_a, series_b = _series(a), _series(b)
+    for key in _align(series_a, series_b):
+        sa, sb = series_a.get(key), series_b.get(key)
         entry: Dict[str, Any] = {
             "only_in": "a" if sb is None else ("b" if sa is None else None),
             "peak_a": series_peak(sa) if sa else None,
@@ -141,8 +113,9 @@ def diff_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
             entry["final_delta"] = entry["final_b"] - entry["final_a"]
         report["series"][key] = entry
 
-    for key in _align(a["counters"], b["counters"]):
-        ca, cb = a["counters"].get(key), b["counters"].get(key)
+    counters_a, counters_b = a["counters"], b["counters"]
+    for key in _align(counters_a, counters_b):
+        ca, cb = counters_a.get(key), counters_b.get(key)
         entry = {
             "only_in": "a" if cb is None else ("b" if ca is None else None),
             "a": ca, "b": cb,
@@ -151,22 +124,9 @@ def diff_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
             entry["delta"] = cb - ca
         report["counters"][key] = entry
 
-    for key in _align(a["gauges"], b["gauges"]):
-        ga, gb = a["gauges"].get(key), b["gauges"].get(key)
-        entry = {
-            "only_in": "a" if gb is None else ("b" if ga is None else None),
-            "value_a": ga["value"] if ga else None,
-            "value_b": gb["value"] if gb else None,
-            "max_a": ga["max"] if ga else None,
-            "max_b": gb["max"] if gb else None,
-        }
-        if entry["only_in"] is None:
-            entry["value_delta"] = entry["value_b"] - entry["value_a"]
-            entry["max_delta"] = entry["max_b"] - entry["max_a"]
-        report["gauges"][key] = entry
-
-    for key in _align(a["histograms"], b["histograms"]):
-        ha, hb = a["histograms"].get(key), b["histograms"].get(key)
+    hists_a, hists_b = a["histograms"], b["histograms"]
+    for key in _align(hists_a, hists_b):
+        ha, hb = hists_a.get(key), hists_b.get(key)
         entry = {
             "only_in": "a" if hb is None else ("b" if ha is None else None),
         }
@@ -232,20 +192,6 @@ def format_diff(report: Dict[str, Any], label_a: str = "A",
             else:
                 lines.append(f"  {key}: {_fmt(e['a'])} -> {_fmt(e['b'])}"
                              f"{_delta(e['delta'])}")
-
-    if report["gauges"]:
-        lines.append("")
-        lines.append("gauges (value / max):")
-        for key, e in report["gauges"].items():
-            if e["only_in"]:
-                lines.append(f"  {key}: only in {e['only_in'].upper()}")
-                continue
-            lines.append(
-                f"  {key}: value {_fmt(e['value_a'])} -> {_fmt(e['value_b'])}"
-                f"{_delta(e.get('value_delta'))}, "
-                f"max {_fmt(e['max_a'])} -> {_fmt(e['max_b'])}"
-                f"{_delta(e.get('max_delta'))}"
-            )
 
     if report["histograms"]:
         lines.append("")

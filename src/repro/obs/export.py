@@ -1,6 +1,6 @@
 """Exporters: Chrome trace-event JSON (Perfetto-loadable) and flat text.
 
-Four formats, four purposes:
+Three formats, three purposes:
 
 * :func:`chrome_trace` — the `Trace Event Format
   <https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU>`_
@@ -15,17 +15,9 @@ Four formats, four purposes:
   golden tests: byte-for-byte comparable across runs, like
   ``Tracer.formatted()``.
 
-* :func:`timeline_csv` / :func:`parse_timeline_csv` — the timeline
-  sampler's series as one flat CSV (``series,kind,t_us,min,max,mean,
-  last``) for offline plotting; floats are written with ``repr`` so
-  the parse is an *exact* inverse (pinned by round-trip tests).
-
-* :func:`prometheus_text` / :func:`parse_prometheus_text` — the
-  metrics registry in Prometheus-style text exposition (``# TYPE``
-  headers, cumulative ``le`` histogram buckets, ``_sum``/``_count``).
-  Metric names keep their dotted form verbatim — close enough to feed
-  standard tooling, exact enough to round-trip through
-  ``repro.obs diff`` without loss.
+* :func:`timeline_csv` — the timeline sampler's series as one flat
+  CSV (``series,kind,t_us,value``) for offline plotting; the
+  ``churn-smoke`` CI job uploads it as an artifact.
 
 :func:`validate_chrome_trace` is a dependency-free structural check of
 the trace-event schema (used by the CI ``obs-smoke`` step — the
@@ -40,7 +32,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .spans import Span
@@ -53,9 +44,6 @@ __all__ = [
     "validate_chrome_trace",
     "timeline_counter_events",
     "timeline_csv",
-    "parse_timeline_csv",
-    "prometheus_text",
-    "parse_prometheus_text",
 ]
 
 #: Well-known non-PE actors, in display order after the PE tracks.
@@ -90,21 +78,17 @@ def timeline_counter_events(
 
     One counter track per series (Perfetto keys counter tracks by event
     ``name``, so they all share one synthetic ``tid``); one event per
-    stored window carrying the window's *last* value — the level the
-    quantity actually held when the window closed, which is what a
-    footprint curve should draw.
+    stored sample.
     """
     events: List[Dict[str, Any]] = []
     series = timeline.get("series", {})
     for key in sorted(series):
         buf = series[key]
-        times = buf["t"]
-        lasts = buf["last"]
-        for i in range(len(times)):
+        for t, value in zip(buf["t"], buf["value"]):
             events.append({
                 "name": key, "cat": "timeline", "ph": "C",
-                "ts": times[i], "pid": pid, "tid": tid,
-                "args": {"value": lasts[i]},
+                "ts": t, "pid": pid, "tid": tid,
+                "args": {"value": value},
             })
     return events
 
@@ -313,247 +297,20 @@ def validate_chrome_trace(trace: Any) -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-# timeline CSV (offline plotting; exact round trip)
+# timeline CSV (offline plotting)
 # ----------------------------------------------------------------------
-_CSV_HEADER = ("series", "kind", "t_us", "min", "max", "mean", "last")
-
-
 def timeline_csv(timeline: Dict[str, Any]) -> str:
-    """Flatten a timeline snapshot to CSV text.
+    """Flatten a timeline snapshot to CSV text, ``series,kind,t_us,value``.
 
-    One row per stored window, series key-sorted then chronological.
-    Floats are emitted with ``repr`` (`str` of a float in py3), so
-    ``parse_timeline_csv`` recovers bit-identical values; series keys
-    containing label commas (``x{a=1,b=2}``) are quoted by the csv
-    module.
+    One row per stored sample, series key-sorted then chronological;
+    floats are written with ``repr``, so no digit is lost.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
+    writer.writerow(("series", "kind", "t_us", "value"))
     series = timeline.get("series", {})
     for key in sorted(series):
         buf = series[key]
-        kind = buf["kind"]
-        t, lo, hi = buf["t"], buf["min"], buf["max"]
-        mean, last = buf["mean"], buf["last"]
-        for i in range(len(t)):
-            writer.writerow((key, kind, t[i], lo[i], hi[i], mean[i], last[i]))
+        for t, value in zip(buf["t"], buf["value"]):
+            writer.writerow((key, buf["kind"], t, value))
     return out.getvalue()
-
-
-def parse_timeline_csv(text: str) -> Dict[str, Any]:
-    """Exact inverse of :func:`timeline_csv` (modulo ``dropped``/config
-    echo, which the CSV does not carry)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != _CSV_HEADER:
-        raise ValueError(
-            f"not a timeline CSV: expected header {','.join(_CSV_HEADER)!r}, "
-            f"got {header!r}"
-        )
-    series: Dict[str, Dict[str, Any]] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(_CSV_HEADER):
-            raise ValueError(f"malformed timeline CSV row: {row!r}")
-        key, kind = row[0], row[1]
-        buf = series.get(key)
-        if buf is None:
-            buf = series[key] = {
-                "kind": kind, "dropped": 0,
-                "t": [], "min": [], "max": [], "mean": [], "last": [],
-            }
-        buf["t"].append(float(row[2]))
-        buf["min"].append(float(row[3]))
-        buf["max"].append(float(row[4]))
-        buf["mean"].append(float(row[5]))
-        buf["last"].append(float(row[6]))
-    return {"series": series}
-
-
-# ----------------------------------------------------------------------
-# Prometheus-style text exposition (metrics registry)
-# ----------------------------------------------------------------------
-def _key_parts(key: str) -> Tuple[str, str]:
-    """Split ``name{a=1,b=2}`` into ``("name", "a=1,b=2")``."""
-    if key.endswith("}") and "{" in key:
-        name, _, labels = key.partition("{")
-        return name, labels[:-1]
-    return key, ""
-
-
-def _suffixed(key: str, suffix: str, extra_label: str = "") -> str:
-    """``name{labels}`` -> ``name<suffix>{labels[,extra]}``."""
-    name, labels = _key_parts(key)
-    if extra_label:
-        labels = f"{labels},{extra_label}" if labels else extra_label
-    return f"{name}{suffix}{{{labels}}}" if labels else f"{name}{suffix}"
-
-
-def prometheus_text(metrics: Dict[str, Any]) -> str:
-    """Render a ``MetricsRegistry.snapshot()`` dict as Prometheus-style
-    text exposition.
-
-    Dotted metric names are kept verbatim (no ``_``-mangling) so the
-    exposition round-trips exactly through
-    :func:`parse_prometheus_text`; histogram buckets are cumulative
-    with ``le="..."`` labels plus ``_sum``/``_count`` (and ``_min``/
-    ``_max``, which stock Prometheus lacks but the diff tool uses).
-    """
-    lines: List[str] = []
-    for key, value in metrics.get("counters", {}).items():
-        lines.append(f"# TYPE {_key_parts(key)[0]} counter")
-        lines.append(f"{key} {value!r}")
-    for key, gauge in metrics.get("gauges", {}).items():
-        lines.append(f"# TYPE {_key_parts(key)[0]} gauge")
-        lines.append(f"{key} {gauge['value']!r}")
-        lines.append(f"{_suffixed(key, '_max')} {gauge['max']!r}")
-    for key, hist in metrics.get("histograms", {}).items():
-        lines.append(f"# TYPE {_key_parts(key)[0]} histogram")
-        cumulative = 0
-        for bucket in hist["buckets"]:
-            cumulative += bucket["count"]
-            le = bucket["le"]
-            le_txt = le if isinstance(le, str) else repr(le)
-            lines.append(
-                f"{_suffixed(key, '_bucket', f'le={le_txt}')} {cumulative!r}"
-            )
-        lines.append(f"{_suffixed(key, '_sum')} {hist['sum']!r}")
-        lines.append(f"{_suffixed(key, '_count')} {hist['count']!r}")
-        if hist["min"] is not None:
-            lines.append(f"{_suffixed(key, '_min')} {hist['min']!r}")
-        if hist["max"] is not None:
-            lines.append(f"{_suffixed(key, '_max')} {hist['max']!r}")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def _hist_quantile(buckets: List[Dict[str, Any]], count: int,
-                   hist_max: Optional[float], q: float) -> float:
-    """Recompute ``Histogram.quantile`` from a (non-cumulative) bucket
-    list — same semantics: the bucket's upper bound, or the observed
-    max for the overflow bucket."""
-    if count == 0:
-        return 0.0
-    rank = max(1, math.ceil(q * count))
-    seen = 0
-    for bucket in buckets:
-        seen += bucket["count"]
-        if seen >= rank:
-            le = bucket["le"]
-            if isinstance(le, str):  # "+Inf" overflow
-                return hist_max if hist_max is not None else 0.0
-            return le
-    return hist_max if hist_max is not None else 0.0
-
-
-#: Component suffixes a histogram / gauge sample line may carry.
-_COMPONENT_SUFFIXES = ("_bucket", "_sum", "_count", "_min", "_max")
-
-
-def parse_prometheus_text(text: str) -> Dict[str, Any]:
-    """Inverse of :func:`prometheus_text`: rebuild the registry
-    snapshot (histogram ``mean``/``p50``/``p99`` are recomputed with
-    the same bucket semantics ``Histogram`` uses)."""
-    counters: Dict[str, Any] = {}
-    gauges: Dict[str, Dict[str, float]] = {}
-    hists: Dict[str, Dict[str, Any]] = {}
-    types: Dict[str, str] = {}
-
-    def hist_for(base: str, labels: str) -> Dict[str, Any]:
-        label_items = [p for p in labels.split(",") if p] if labels else []
-        rest = ",".join(p for p in label_items if not p.startswith("le="))
-        hkey = f"{base}{{{rest}}}" if rest else base
-        return hists.setdefault(hkey, {
-            "count": 0, "sum": 0.0, "min": None, "max": None, "buckets": [],
-        })
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3]
-            continue
-        key, sep, value_txt = line.rpartition(" ")
-        if not sep:
-            raise ValueError(f"line {lineno}: not a 'name value' sample: "
-                             f"{raw!r}")
-        try:
-            value = float(value_txt)
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad sample value "
-                             f"{value_txt!r}") from None
-        name, labels = _key_parts(key)
-
-        mtype = types.get(name)
-        if mtype == "counter":
-            counters[key] = int(value)
-            continue
-        if mtype == "gauge":
-            gauges.setdefault(key, {"value": 0.0, "max": 0.0})["value"] = value
-            continue
-
-        # Component line: <base><suffix>{labels} for a gauge/histogram.
-        handled = False
-        for suffix in _COMPONENT_SUFFIXES:
-            if not name.endswith(suffix):
-                continue
-            base = name[: -len(suffix)]
-            btype = types.get(base)
-            if btype == "gauge" and suffix == "_max":
-                gkey = f"{base}{{{labels}}}" if labels else base
-                gauge = gauges.setdefault(gkey, {"value": 0.0, "max": 0.0})
-                gauge["max"] = value
-                handled = True
-            elif btype == "histogram":
-                hist = hist_for(base, labels)
-                if suffix == "_bucket":
-                    le_items = [p for p in labels.split(",")
-                                if p.startswith("le=")]
-                    if not le_items:
-                        raise ValueError(f"line {lineno}: histogram bucket "
-                                         f"without le label")
-                    le_txt = le_items[0][3:]
-                    le: Any = le_txt if le_txt == "+Inf" else float(le_txt)
-                    hist["buckets"].append({"le": le, "count": int(value)})
-                elif suffix == "_sum":
-                    hist["sum"] = value
-                elif suffix == "_count":
-                    hist["count"] = int(value)
-                elif suffix == "_min":
-                    hist["min"] = value
-                else:
-                    hist["max"] = value
-                handled = True
-            if handled:
-                break
-        if not handled:
-            raise ValueError(f"line {lineno}: sample {key!r} has no # TYPE")
-
-    ordered_hists: Dict[str, Dict[str, Any]] = {}
-    for hkey in sorted(hists):
-        hist = hists[hkey]
-        # Exposition buckets are cumulative; snapshot buckets are not.
-        prev = 0
-        plain: List[Dict[str, Any]] = []
-        for bucket in hist["buckets"]:
-            plain.append({"le": bucket["le"], "count": bucket["count"] - prev})
-            prev = bucket["count"]
-        count = hist["count"]
-        ordered_hists[hkey] = {
-            "count": count, "sum": hist["sum"],
-            "min": hist["min"], "max": hist["max"],
-            "mean": hist["sum"] / count if count else 0.0,
-            "p50": _hist_quantile(plain, count, hist["max"], 0.5),
-            "p99": _hist_quantile(plain, count, hist["max"], 0.99),
-            "buckets": plain,
-        }
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": ordered_hists,
-    }

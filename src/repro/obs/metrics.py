@@ -1,26 +1,18 @@
-"""The metrics registry: counters, gauges and log2-bucket histograms.
+"""Log2-bucket latency histograms.
 
-Every metric is keyed by ``(name, labels)`` where labels is a sorted
-tuple of ``(key, value)`` pairs, so ``registry.counter("x", pe=3)`` and
-``registry.counter("x", pe=7)`` are distinct series while remaining
-cheap to aggregate.
+:class:`Histogram` records full distributions of handshake RTT,
+reconnect latency, PMI fence duration and ``start_pes`` time instead
+of means only.  Its log2 buckets are fixed and shared by *every*
+histogram, so two histograms are always mergeable and golden snapshots
+never depend on per-instance configuration.  Bucket semantics are
+Prometheus-style ``le``: bucket ``i`` counts values ``v`` with
+``bounds[i-1] < v <= bounds[i]``; an exact power of two lands in the
+bucket whose bound it equals (pinned by unit tests — the boundary test
+uses :func:`math.frexp`, which is exact for floats, not ``log2``
+rounding).
 
-:class:`Histogram` replaces the means-only reporting the repro had for
-latencies: fixed log2 buckets (shared by *every* histogram, so two
-histograms are always mergeable and golden snapshots never depend on
-per-instance configuration) record full distributions of handshake
-RTT, PMI fence duration, QP-cache miss penalties, and anything else a
-layer observes.  Bucket semantics are Prometheus-style ``le``: bucket
-``i`` counts values ``v`` with ``bounds[i-1] < v <= bounds[i]``; an
-exact power of two lands in the bucket whose bound it equals (pinned
-by unit tests — the boundary test uses :func:`math.frexp`, which is
-exact for floats, not ``log2`` rounding).
-
-The registry holds what the flat :class:`repro.sim.trace.Counters`
-cannot: gauges, histograms and labelled counters such as
-``conduit.evictions{policy=lru}``.  The job's flat counters join the
-registry's series only when telemetry is snapshotted (see
-:meth:`repro.obs.Observability.telemetry`).
+:meth:`repro.obs.Observability.histogram` keeps one histogram per name;
+the flat :class:`repro.sim.trace.Counters` stay the one counter surface.
 """
 
 from __future__ import annotations
@@ -28,14 +20,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = [
-    "BUCKET_BOUNDS",
-    "bucket_index",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-]
+__all__ = ["BUCKET_BOUNDS", "bucket_index", "Histogram"]
 
 #: Smallest / largest log2 bucket exponent.  2**-4 = 0.0625 us resolves
 #: sub-cost-model noise; 2**24 us ≈ 16.8 simulated seconds tops every
@@ -70,70 +55,12 @@ def bucket_index(value: float) -> int:
     return idx if idx < len(BUCKET_BOUNDS) else len(BUCKET_BOUNDS)
 
 
-class _Metric:
-    """Identity shared by all metric kinds."""
-
-    __slots__ = ("name", "labels")
-    kind = "metric"
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
-        self.name = name
-        self.labels = labels
-
-    @property
-    def key(self) -> str:
-        """Deterministic flat series name, ``name{k=v,...}``."""
-        if not self.labels:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in self.labels)
-        return f"{self.name}{{{inner}}}"
-
-
-class Counter(_Metric):
-    """Monotonically increasing count."""
-
-    __slots__ = ("value",)
-    kind = "counter"
-
-    def __init__(self, name: str, labels=()) -> None:
-        super().__init__(name, labels)
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge(_Metric):
-    """A settable level; tracks its high-water mark."""
-
-    __slots__ = ("value", "max_value")
-    kind = "gauge"
-
-    def __init__(self, name: str, labels=()) -> None:
-        super().__init__(name, labels)
-        self.value = 0.0
-        self.max_value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.set(self.value + amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-
-class Histogram(_Metric):
+class Histogram:
     """Latency distribution over the shared log2 buckets."""
 
     __slots__ = ("counts", "count", "sum", "min", "max")
-    kind = "histogram"
 
-    def __init__(self, name: str, labels=()) -> None:
-        super().__init__(name, labels)
+    def __init__(self) -> None:
         self.counts: List[int] = [0] * NUM_BUCKETS
         self.count = 0
         self.sum = 0.0
@@ -173,14 +100,6 @@ class Histogram(_Metric):
                 return self.max if self.max is not None else BUCKET_BOUNDS[-1]
         return self.max if self.max is not None else 0.0  # pragma: no cover
 
-    def percentile(self, p: float) -> float:
-        """:meth:`quantile` with the argument in percent (``p50`` ==
-        ``percentile(50)``) — the form the diff tool's latency
-        comparison and most dashboards speak."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError(f"percentile {p} outside [0, 100]")
-        return self.quantile(p / 100.0)
-
     def snapshot(self) -> Dict[str, Any]:
         """JSON-friendly summary; only non-empty buckets are listed."""
         buckets = [
@@ -198,63 +117,3 @@ class Histogram(_Metric):
             "p99": self.quantile(0.99),
             "buckets": buckets,
         }
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
-
-class MetricsRegistry:
-    """All metric series of one observed run, keyed by (name, labels)."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], _Metric] = {}
-
-    # ------------------------------------------------------------------
-    def _get(self, kind: str, name: str, labels: Dict[str, Any]) -> _Metric:
-        key = (name, tuple(sorted(labels.items())))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = self._metrics[key] = _KINDS[kind](name, key[1])
-        elif metric.kind != kind:
-            raise TypeError(
-                f"metric {metric.key!r} already registered as "
-                f"{metric.kind}, requested as {kind}"
-            )
-        return metric
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get("counter", name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get("gauge", name, labels)
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get("histogram", name, labels)
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __iter__(self):
-        return iter(self._metrics.values())
-
-    def snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Deterministic (key-sorted) dump of every series."""
-        counters: Dict[str, int] = {}
-        gauges: Dict[str, Dict[str, float]] = {}
-        histograms: Dict[str, Dict[str, Any]] = {}
-        for metric in self._metrics.values():
-            if metric.kind == "counter":
-                counters[metric.key] = metric.value
-            elif metric.kind == "gauge":
-                gauges[metric.key] = {
-                    "value": metric.value, "max": metric.max_value,
-                }
-            else:
-                histograms[metric.key] = metric.snapshot()
-        return {
-            "counters": dict(sorted(counters.items())),
-            "gauges": dict(sorted(gauges.items())),
-            "histograms": dict(sorted(histograms.items())),
-        }
-

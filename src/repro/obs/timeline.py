@@ -7,14 +7,13 @@ claim is a trajectory (connections vs. time under churn), and ROADMAP
 item 2's pressure-driven eviction needs a sampled occupancy signal to
 act on.  This module is that substrate.
 
-A :class:`Timeline` samples a set of registered :class:`Probe`\\ s — a
-probe is just a name plus a zero-argument callable reading live layer
-state — on a fixed **simulated-time** cadence.  Samples land in
-columnar ring buffers (:class:`SeriesBuffer`) with windowed
-aggregation: every ``window`` raw samples collapse into one stored
-point carrying ``(t, min, max, mean, last)``, and once ``capacity``
-windows are stored the oldest are overwritten (``dropped`` counts
-them), so memory is bounded no matter how long the job runs.
+A :class:`Timeline` samples a set of registered probes — a probe is
+just a name plus a zero-argument callable reading live layer state — on
+a fixed **simulated-time** cadence.  Each sample lands as one
+``(t, value)`` point in a per-series ring buffer (:class:`SeriesBuffer`);
+once :data:`CAPACITY` points are stored the oldest are overwritten
+(``dropped`` counts them), so memory is bounded no matter how long the
+job runs.
 
 Determinism contract
 --------------------
@@ -51,19 +50,24 @@ from typing import (
     Tuple,
 )
 
-from ..errors import ConfigError, require_positive_int, require_positive_real
+from ..errors import ConfigError, require_positive_real
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim import Simulator
 
 __all__ = [
+    "CAPACITY",
     "TimelineConfig",
-    "Probe",
     "SeriesBuffer",
     "Timeline",
     "parse_observe",
     "canonical_observe",
 ]
+
+
+#: Ring capacity in points per series; the oldest points are
+#: overwritten (and counted as dropped) beyond it.
+CAPACITY = 65536
 
 
 @dataclass(frozen=True)
@@ -73,16 +77,9 @@ class TimelineConfig:
 
     #: Simulated microseconds between samples.
     interval_us: float = 1000.0
-    #: Raw samples aggregated into one stored window point.
-    window: int = 1
-    #: Ring capacity in *windows* per series; the oldest windows are
-    #: overwritten (and counted as dropped) beyond it.
-    capacity: int = 65536
 
     def __post_init__(self) -> None:
         require_positive_real("timeline interval_us", self.interval_us)
-        require_positive_int("timeline window", self.window)
-        require_positive_int("timeline capacity", self.capacity)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TimelineConfig":
@@ -101,8 +98,8 @@ def parse_observe(value: Any) -> Tuple[bool, Optional[TimelineConfig]]:
     Accepted forms::
 
         False / None                     -> observation off
-        True                             -> spans + metrics only
-        {"timeline": True}               -> spans + metrics + timeline
+        True                             -> spans + histograms only
+        {"timeline": True}               -> spans + histograms + timeline
         {"timeline": {"interval_us": 500}}
         TimelineConfig(...)              -> shorthand for the dict form
     """
@@ -144,140 +141,58 @@ def canonical_observe(value: Any) -> Any:
     return cfg if cfg is not None else True
 
 
-class Probe:
-    """One registered data source: a key plus a pure-read callable."""
-
-    __slots__ = ("name", "labels", "fn", "kind")
-
-    def __init__(self, name: str, fn: Callable[[], float], kind: str,
-                 labels: Tuple[Tuple[str, Any], ...]) -> None:
-        if kind not in ("gauge", "counter"):
-            raise ConfigError(f"probe kind must be gauge/counter, got {kind!r}")
-        self.name = name
-        self.fn = fn
-        self.kind = kind
-        self.labels = labels
-
-    @property
-    def key(self) -> str:
-        """Flat series name, ``name{k=v,...}`` (same form as metrics)."""
-        if not self.labels:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in self.labels)
-        return f"{self.name}{{{inner}}}"
-
-
 class SeriesBuffer:
-    """Columnar ring buffer of windowed samples for one series.
+    """Ring buffer of ``(t, value)`` samples for one series.
 
-    Five parallel arrays — window end time, min, max, mean, last —
-    preallocated at ``capacity`` and written through a wrapping head
-    index.  ``snapshot`` unrolls to chronological Python lists.
+    Grows to ``capacity`` points, then overwrites the oldest through a
+    wrapping head index; ``snapshot`` unrolls to chronological lists.
     """
 
-    __slots__ = (
-        "kind", "capacity", "window", "dropped",
-        "_t", "_min", "_max", "_mean", "_last", "_head", "_filled",
-        "_wn", "_wsum", "_wmin", "_wmax", "_wlast",
-    )
+    __slots__ = ("kind", "capacity", "dropped", "_t", "_value", "_head")
 
-    def __init__(self, kind: str, capacity: int, window: int) -> None:
+    def __init__(self, kind: str, capacity: int = CAPACITY) -> None:
         self.kind = kind
         self.capacity = capacity
-        self.window = window
         self.dropped = 0
-        self._t = [0.0] * capacity
-        self._min = [0.0] * capacity
-        self._max = [0.0] * capacity
-        self._mean = [0.0] * capacity
-        self._last = [0.0] * capacity
+        self._t: List[float] = []
+        self._value: List[float] = []
         self._head = 0
-        self._filled = 0
-        # Accumulator for the currently-open window.
-        self._wn = 0
-        self._wsum = 0.0
-        self._wmin = 0.0
-        self._wmax = 0.0
-        self._wlast = 0.0
 
     def record(self, now: float, value: float) -> None:
-        """Fold one raw sample in; flush if the window is complete."""
-        if self._wn == 0:
-            self._wmin = self._wmax = value
-        else:
-            if value < self._wmin:
-                self._wmin = value
-            if value > self._wmax:
-                self._wmax = value
-        self._wn += 1
-        self._wsum += value
-        self._wlast = value
-        if self._wn >= self.window:
-            self._flush(now)
-
-    def flush_partial(self, now: float) -> None:
-        """Emit a short final window (job end rarely lands on a window
-        boundary)."""
-        if self._wn:
-            self._flush(now)
-
-    def _flush(self, now: float) -> None:
+        if len(self._t) < self.capacity:
+            self._t.append(now)
+            self._value.append(value)
+            return
         slot = self._head
         self._t[slot] = now
-        self._min[slot] = self._wmin
-        self._max[slot] = self._wmax
-        self._mean[slot] = self._wsum / self._wn
-        self._last[slot] = self._wlast
+        self._value[slot] = value
         self._head = (slot + 1) % self.capacity
-        if self._filled < self.capacity:
-            self._filled += 1
-        else:
-            self.dropped += 1
-        self._wn = 0
-        self._wsum = 0.0
+        self.dropped += 1
 
     def __len__(self) -> int:
-        return self._filled
+        return len(self._t)
 
     def _unroll(self, column: List[float]) -> List[float]:
-        if self._filled < self.capacity:
-            return column[: self._filled]
         head = self._head
         return column[head:] + column[:head]
-
-    @property
-    def peak(self) -> float:
-        """Largest windowed max on record (0.0 for an empty series)."""
-        values = self._unroll(self._max)
-        return max(values) if values else 0.0
-
-    @property
-    def final(self) -> float:
-        """Most recent stored last-value (0.0 for an empty series)."""
-        if self._filled == 0:
-            return 0.0
-        return self._last[(self._head - 1) % self.capacity]
 
     def snapshot(self) -> Dict[str, Any]:
         return {
             "kind": self.kind,
             "dropped": self.dropped,
             "t": self._unroll(self._t),
-            "min": self._unroll(self._min),
-            "max": self._unroll(self._max),
-            "mean": self._unroll(self._mean),
-            "last": self._unroll(self._last),
+            "value": self._unroll(self._value),
         }
 
 
 class Timeline:
-    """The sampler: probes in, windowed ring-buffered series out."""
+    """The sampler: probes in, ring-buffered series out."""
 
     def __init__(self, sim: "Simulator", config: TimelineConfig) -> None:
         self.sim = sim
         self.config = config
         self.series: Dict[str, SeriesBuffer] = {}
-        self._probes: List[Probe] = []
+        self._probes: List[Tuple[str, Callable[[], float]]] = []
         self._started = False
         self._stopped = False
         self.samples_taken = 0
@@ -286,22 +201,21 @@ class Timeline:
     # registration (Job wires the layers in at assembly time)
     # ------------------------------------------------------------------
     def add_probe(self, name: str, fn: Callable[[], float],
-                  kind: str = "gauge", **labels: Any) -> None:
-        """Register ``fn`` under ``name{labels}``.
+                  kind: str = "gauge") -> None:
+        """Register ``fn`` as the series ``name``.
 
         ``fn`` MUST be a pure read of live state: no RNG, no mutation,
         no simulated delay — the determinism contract depends on it.
         ``kind`` is ``"gauge"`` (instantaneous level) or ``"counter"``
-        (cumulative count sampled over time; the diff tool turns those
-        into rates).
+        (cumulative count sampled over time); the diff tool reports a
+        series of either kind by its peak and final value.
         """
-        probe = Probe(name, fn, kind, tuple(sorted(labels.items())))
-        if probe.key in self.series:
-            raise ConfigError(f"duplicate timeline probe {probe.key!r}")
-        self._probes.append(probe)
-        self.series[probe.key] = SeriesBuffer(
-            kind, self.config.capacity, self.config.window
-        )
+        if kind not in ("gauge", "counter"):
+            raise ConfigError(f"probe kind must be gauge/counter, got {kind!r}")
+        if name in self.series:
+            raise ConfigError(f"duplicate timeline probe {name!r}")
+        self._probes.append((name, fn))
+        self.series[name] = SeriesBuffer(kind)
 
     # ------------------------------------------------------------------
     # sampling
@@ -315,16 +229,12 @@ class Timeline:
         self._arm()
 
     def stop(self) -> None:
-        """Final sample + flush; the pending tick becomes a no-op."""
+        """Final sample; the pending tick becomes a no-op."""
         if self._stopped:
             return
         self._stopped = True
-        if not self._started:
-            return
-        self._sample()
-        now = self.sim.now
-        for buf in self.series.values():
-            buf.flush_partial(now)
+        if self._started:
+            self._sample()
 
     def _arm(self) -> None:
         self.sim.schedule_callback(
@@ -341,18 +251,17 @@ class Timeline:
         now = self.sim.now
         self.samples_taken += 1
         series = self.series
-        for probe in self._probes:
-            series[probe.key].record(now, float(probe.fn()))
+        for name, fn in self._probes:
+            series[name].record(now, float(fn()))
 
     # ------------------------------------------------------------------
     # results
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly dump: config echo + every series, key-sorted."""
+        """JSON-friendly dump: cadence, sample count and every series,
+        key-sorted."""
         return {
             "interval_us": self.config.interval_us,
-            "window": self.config.window,
-            "capacity": self.config.capacity,
             "samples": self.samples_taken,
             "series": {
                 key: self.series[key].snapshot()

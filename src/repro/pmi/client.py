@@ -150,7 +150,7 @@ class PMIClient:
         yield handle.wait()
         if span is not None:
             obs.spans.finish(span)
-            obs.metrics.histogram("pmi.fence_us").observe(
+            obs.histogram("pmi.fence_us").observe(
                 span.end_us - span.start_us
             )
 

@@ -113,7 +113,7 @@ class ShmemPE(ShmemContext, RMAMixin, AtomicsMixin, CollectivesMixin):
         if root is not None:
             self.timer.observe(None, "")
             obs.spans.finish(root)
-            obs.metrics.histogram("shmem.start_pes_us").observe(
+            obs.histogram("shmem.start_pes_us").observe(
                 self.init_duration)
         self.counters.add("shmem.start_pes_done")
 

@@ -96,7 +96,7 @@ def test_causal_ordering_within_the_tree(job):
 
 
 def test_handshake_rtt_distribution_recorded(job):
-    hist = job.obs.metrics.histogram("conduit.handshake_rtt_us")
+    hist = job.obs.histogram("conduit.handshake_rtt_us")
     assert hist.count >= len(_cross_node_connected_roots(job))
     assert hist.min > 0.0
     assert hist.quantile(0.99) >= hist.quantile(0.5) > 0.0

@@ -61,7 +61,7 @@ def test_fault_hits_land_on_the_faults_track():
     assert "fault.qp_enomem" in names
     assert "fault.pmi_slowdown" in names
     # Fault counters and their span events agree.
-    counters = result.telemetry["metrics"]["counters"]
+    counters = result.telemetry["counters"]
     assert counters["faults.qp_create_failed"] == len(
         spans.by_name("fault.qp_enomem")
     )

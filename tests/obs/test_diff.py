@@ -1,6 +1,8 @@
-"""Diff tool + export round-trips: every exporter's output must load
-back through ``load_snapshot`` and self-diff to zero deltas."""
+"""The diff tool: it loads only the telemetry record, self-diffs it to
+zero deltas, and rejects every other file at the boundary."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -8,15 +10,7 @@ import pytest
 from repro.apps import HelloWorld
 from repro.cluster import cluster_a
 from repro.core import Job, RuntimeConfig
-from repro.obs import (
-    diff_snapshots,
-    format_diff,
-    load_snapshot,
-    prometheus_text,
-    series_final,
-    series_peak,
-    timeline_csv,
-)
+from repro.obs import diff_snapshots, format_diff, load_snapshot, timeline_csv
 from repro.obs.__main__ import main as obs_main
 
 
@@ -40,63 +34,48 @@ def _assert_zero_self_diff(report):
             assert entry[f"{field}_delta"] == 0
 
 
+def _record(counters=None, series=None):
+    record = {"spans": {}, "counters": counters or {}, "histograms": {}}
+    if series is not None:
+        record["timeline"] = {"series": series}
+    return record
+
+
 class TestRoundTrips:
     def test_telemetry_json(self, telemetry, tmp_path):
         path = tmp_path / "tele.json"
         path.write_text(json.dumps(telemetry))
-        snap = load_snapshot(str(path))
-        assert snap["series"] and snap["counters"] and snap["histograms"]
-        _assert_zero_self_diff(diff_snapshots(snap, snap))
-        # Raw telemetry dicts diff directly too (normalised inside).
-        _assert_zero_self_diff(diff_snapshots(telemetry, telemetry))
+        record = load_snapshot(str(path))
+        assert record == telemetry
+        assert (record["timeline"]["series"] and record["counters"]
+                and record["histograms"])
+        _assert_zero_self_diff(diff_snapshots(record, record))
 
-    def test_timeline_csv(self, telemetry, tmp_path):
-        path = tmp_path / "tl.csv"
-        path.write_text(timeline_csv(telemetry["timeline"]))
-        snap = load_snapshot(str(path))
-        original = telemetry["timeline"]["series"]
-        assert sorted(snap["series"]) == sorted(original)
-        for key, buf in original.items():
-            assert series_peak(snap["series"][key]) == series_peak(buf)
-            assert series_final(snap["series"][key]) == series_final(buf)
-        _assert_zero_self_diff(diff_snapshots(snap, snap))
-
-    def test_prometheus_text(self, telemetry, tmp_path):
-        path = tmp_path / "m.prom"
-        path.write_text(prometheus_text(telemetry["metrics"]))
-        snap = load_snapshot(str(path))
-        assert snap["counters"] == {
-            k: v for k, v in telemetry["metrics"]["counters"].items()
-        }
-        for key, hist in telemetry["metrics"]["histograms"].items():
-            got = snap["histograms"][key]
-            assert got["count"] == hist["count"]
-            assert got["p50"] == hist["p50"]
-            assert got["p99"] == hist["p99"]
-        _assert_zero_self_diff(diff_snapshots(snap, snap))
-
-    def test_cross_format_diff_is_zero_on_series(self, telemetry, tmp_path):
-        """JSON and CSV views of the same run agree exactly."""
-        j = tmp_path / "t.json"
-        c = tmp_path / "t.csv"
-        j.write_text(json.dumps(telemetry))
-        c.write_text(timeline_csv(telemetry["timeline"]))
-        report = diff_snapshots(load_snapshot(str(j)), load_snapshot(str(c)))
-        for entry in report["series"].values():
-            assert entry["only_in"] is None
-            assert entry["peak_delta"] == 0.0
+    def test_timeline_csv(self, telemetry):
+        """The CSV rendering carries every stored sample, exactly."""
+        rows = list(csv.reader(io.StringIO(timeline_csv(
+            telemetry["timeline"]))))
+        assert rows[0] == ["series", "kind", "t_us", "value"]
+        got = {}
+        for key, kind, t, value in rows[1:]:
+            buf = got.setdefault(key, {"kind": kind, "t": [], "value": []})
+            buf["t"].append(float(t))
+            buf["value"].append(float(value))
+        want = telemetry["timeline"]["series"]
+        assert got == {k: {"kind": b["kind"], "t": b["t"], "value": b["value"]}
+                       for k, b in want.items()}
 
 
 class TestDiffSemantics:
     def test_series_deltas_and_only_in(self):
-        a = {"series": {
-            "conn": {"kind": "gauge", "max": [3.0, 5.0], "last": [5.0, 2.0]},
-            "gone": {"kind": "gauge", "max": [1.0], "last": [1.0]},
-        }}
-        b = {"series": {
-            "conn": {"kind": "gauge", "max": [9.0], "last": [4.0]},
-            "new": {"kind": "gauge", "max": [2.0], "last": [2.0]},
-        }}
+        a = _record(series={
+            "conn": {"kind": "gauge", "value": [3.0, 5.0, 2.0]},
+            "gone": {"kind": "gauge", "value": [1.0]},
+        })
+        b = _record(series={
+            "conn": {"kind": "gauge", "value": [9.0, 4.0]},
+            "new": {"kind": "gauge", "value": [2.0]},
+        })
         report = diff_snapshots(a, b)
         conn = report["series"]["conn"]
         assert conn["peak_delta"] == 4.0 and conn["final_delta"] == 2.0
@@ -104,18 +83,14 @@ class TestDiffSemantics:
         assert report["series"]["new"]["only_in"] == "b"
 
     def test_counter_delta(self):
-        report = diff_snapshots(
-            {"metrics": {"counters": {"evictions": 10}}},
-            {"metrics": {"counters": {"evictions": 3}}},
-        )
+        report = diff_snapshots(_record({"evictions": 10}),
+                                _record({"evictions": 3}))
         assert report["counters"]["evictions"]["delta"] == -7
 
     def test_format_diff_mentions_everything(self):
         report = diff_snapshots(
-            {"series": {"x": {"max": [1.0], "last": [1.0]}},
-             "metrics": {"counters": {"c": 1}}},
-            {"series": {"x": {"max": [4.0], "last": [0.0]}},
-             "metrics": {"counters": {"c": 5}}},
+            _record({"c": 1}, {"x": {"value": [1.0]}}),
+            _record({"c": 5}, {"x": {"value": [4.0, 0.0]}}),
         )
         text = format_diff(report, label_a="base", label_b="new")
         assert "A=base" in text and "B=new" in text
@@ -123,7 +98,7 @@ class TestDiffSemantics:
         assert "c: 1 -> 5 (+4)" in text
 
     def test_format_diff_empty(self):
-        text = format_diff(diff_snapshots({}, {}))
+        text = format_diff(diff_snapshots(_record(), _record()))
         assert "(no overlapping telemetry)" in text
 
 
@@ -143,6 +118,27 @@ class TestLoadSnapshotErrors:
         path.write_text(content)
         with pytest.raises(ValueError, match=why):
             load_snapshot(str(path))
+
+
+@pytest.mark.parametrize("name,write,missing", [
+    ("timeline.csv", lambda t: timeline_csv(t["timeline"]), "spans"),
+    ("metrics.prom", lambda t: "# TYPE pmi.gets counter\npmi.gets 3\n",
+     "spans"),
+    ("timeline.json", lambda t: json.dumps(t["timeline"]), "spans"),
+    ("old.json", lambda t: json.dumps(
+        {"spans": t["spans"], "metrics": {"counters": t["counters"]}}),
+     "counters"),
+], ids=["timeline-csv", "prometheus", "bare-timeline", "no-record-keys"])
+def test_diff_rejects_anything_but_the_record(telemetry, tmp_path, capsys,
+                                              name, write, missing):
+    path = tmp_path / name
+    path.write_text(write(telemetry))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(telemetry))
+    assert obs_main(["diff", str(good), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(path) in err and f"missing key {missing!r}" in err
 
 
 class TestCli:

@@ -1,4 +1,5 @@
-"""Unit tests for the metrics registry: buckets and series.
+"""Unit tests for the latency histograms: buckets, quantiles, and the
+per-name store behind ``Observability.histogram``.
 
 The bucket-boundary tests are the load-bearing ones: ``bucket_index``
 must be *exact* at powers of two (le semantics — ``2**k`` lands in the
@@ -10,15 +11,9 @@ import math
 
 import pytest
 
-from repro.obs import (
-    BUCKET_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    bucket_index,
-)
+from repro.obs import BUCKET_BOUNDS, Histogram, Observability, bucket_index
 from repro.obs.metrics import NUM_BUCKETS
+from repro.sim import Counters, Simulator
 
 
 class TestBucketIndex:
@@ -60,7 +55,7 @@ class TestBucketIndex:
 
 class TestHistogram:
     def test_summary_statistics(self):
-        h = Histogram("h")
+        h = Histogram()
         for v in (1.0, 2.0, 3.0, 10.0):
             h.observe(v)
         assert h.count == 4
@@ -70,14 +65,14 @@ class TestHistogram:
         assert h.mean == 4.0
 
     def test_empty_histogram(self):
-        h = Histogram("h")
+        h = Histogram()
         assert h.mean == 0.0
         assert h.quantile(0.5) == 0.0
         snap = h.snapshot()
         assert snap["count"] == 0 and snap["buckets"] == []
 
     def test_quantile_returns_bucket_upper_bound(self):
-        h = Histogram("h")
+        h = Histogram()
         # 1.5 -> le=2.0 bucket; 3.0 -> le=4.0 bucket.
         for _ in range(99):
             h.observe(1.5)
@@ -86,7 +81,7 @@ class TestHistogram:
         assert h.quantile(1.0) == 4.0
 
     def test_quantile_overflow_bucket_reports_max(self):
-        h = Histogram("h")
+        h = Histogram()
         big = BUCKET_BOUNDS[-1] * 4
         h.observe(big)
         assert h.quantile(0.5) == big
@@ -94,10 +89,10 @@ class TestHistogram:
 
     def test_quantile_range_checked(self):
         with pytest.raises(ValueError):
-            Histogram("h").quantile(1.5)
+            Histogram().quantile(1.5)
 
     def test_snapshot_lists_only_nonempty_buckets(self):
-        h = Histogram("h")
+        h = Histogram()
         h.observe(2.0)   # exact bound: le=2.0
         h.observe(2.5)   # le=4.0
         snap = h.snapshot()
@@ -107,98 +102,72 @@ class TestHistogram:
         assert snap["p50"] == 2.0
 
     def test_snapshot_overflow_bucket_label(self):
-        h = Histogram("h")
+        h = Histogram()
         h.observe(BUCKET_BOUNDS[-1] * 2)
         assert h.snapshot()["buckets"] == [{"le": "+Inf", "count": 1}]
 
 
 class TestHistogramPercentile:
-    """percentile(p) is quantile(p/100) on the shared log2 ladder —
-    exact at bucket bounds, like everything else in this module."""
+    """The record's percentiles are quantile(p/100) on the shared log2
+    ladder — exact at bucket bounds, like everything else in this
+    module."""
 
     def test_matches_quantile_on_exact_bounds(self):
-        h = Histogram("h")
+        h = Histogram()
         for _ in range(99):
             h.observe(1.5)   # le=2.0 bucket
         h.observe(3.0)       # le=4.0 bucket
-        assert h.percentile(50.0) == h.quantile(0.5) == 2.0
-        assert h.percentile(99.0) == 2.0
-        assert h.percentile(100.0) == 4.0
+        snap = h.snapshot()
+        assert snap["p50"] == h.quantile(0.5) == 2.0
+        assert snap["p99"] == h.quantile(0.99) == 2.0
+        assert h.quantile(1.0) == 4.0
 
     def test_exact_bucket_boundaries(self):
-        h = Histogram("h")
+        h = Histogram()
         # One observation on each of four consecutive power-of-two
-        # bounds: percentile cut points land on exact bucket bounds.
+        # bounds: quantile cut points land on exact bucket bounds.
         for v in (2.0, 4.0, 8.0, 16.0):
             h.observe(v)
-        assert h.percentile(25.0) == 2.0
-        assert h.percentile(50.0) == 4.0
-        assert h.percentile(75.0) == 8.0
-        assert h.percentile(100.0) == 16.0
+        assert h.quantile(0.25) == 2.0
+        assert h.quantile(0.5) == 4.0
+        assert h.quantile(0.75) == 8.0
+        assert h.quantile(1.0) == 16.0
 
     def test_p0_is_smallest_bucket_bound(self):
-        h = Histogram("h")
+        h = Histogram()
         h.observe(5.0)  # le=8.0
-        assert h.percentile(0.0) == 8.0
+        assert h.quantile(0.0) == 8.0
 
     def test_overflow_bucket_reports_observed_max(self):
-        h = Histogram("h")
+        h = Histogram()
         big = BUCKET_BOUNDS[-1] * 2
         h.observe(big)
-        assert h.percentile(99.0) == big
+        assert h.snapshot()["p99"] == big
 
     def test_empty_histogram(self):
-        assert Histogram("h").percentile(50.0) == 0.0
+        snap = Histogram().snapshot()
+        assert snap["p50"] == snap["p99"] == 0.0
 
     @pytest.mark.parametrize("p", [-1.0, 100.5, 200.0])
     def test_range_checked(self, p):
         with pytest.raises(ValueError):
-            Histogram("h").percentile(p)
+            Histogram().quantile(p / 100.0)
 
 
-class TestGauge:
-    def test_set_inc_dec_and_high_water_mark(self):
-        g = Gauge("g")
-        g.set(5.0)
-        g.inc(3.0)
-        g.dec(6.0)
-        assert g.value == 2.0
-        assert g.max_value == 8.0
+class TestObservabilityHistograms:
+    def test_one_histogram_per_name(self):
+        obs = Observability(Simulator())
+        assert obs.histogram("x") is obs.histogram("x")
+        assert obs.histogram("x") is not obs.histogram("y")
 
-
-class TestMetricsRegistry:
-    def test_same_name_and_labels_memoised(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x", pe=3) is reg.counter("x", pe=3)
-        assert reg.counter("x", pe=3) is not reg.counter("x", pe=7)
-        assert len(reg) == 2
-
-    def test_label_order_does_not_matter(self):
-        reg = MetricsRegistry()
-        assert reg.counter("x", a=1, b=2) is reg.counter("x", b=2, a=1)
-
-    def test_kind_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.histogram("x")
-
-    def test_series_key_format(self):
-        reg = MetricsRegistry()
-        assert reg.counter("plain").key == "plain"
-        assert reg.histogram("h", node=2, kind="rtr").key == (
-            "h{kind=rtr,node=2}"
-        )
-
-    def test_snapshot_is_key_sorted_and_typed(self):
-        reg = MetricsRegistry()
-        reg.counter("b").inc(2)
-        reg.counter("a").inc()
-        reg.gauge("g").set(4.5)
-        reg.histogram("h").observe(1.0)
-        snap = reg.snapshot()
-        assert list(snap["counters"]) == ["a", "b"]
-        assert snap["counters"] == {"a": 1, "b": 2}
-        assert snap["gauges"]["g"] == {"value": 4.5, "max": 4.5}
-        assert snap["histograms"]["h"]["count"] == 1
-
+    def test_record_lists_histograms_key_sorted(self):
+        obs = Observability(Simulator())
+        obs.histogram("b").observe(1.0)
+        obs.histogram("a").observe(2.0)
+        counters = Counters()
+        counters.add("c", 3)
+        record = obs.telemetry(counters)
+        assert list(record) == ["spans", "counters", "histograms"]
+        assert list(record["histograms"]) == ["a", "b"]
+        assert record["histograms"]["a"]["count"] == 1
+        assert record["counters"] == {"c": 3}

@@ -14,15 +14,15 @@ from repro.obs import (
     TimelineConfig,
     canonical_observe,
     parse_observe,
+    series_final,
+    series_peak,
 )
 from repro.sim import Simulator
 
 
 class TestTimelineConfig:
     def test_defaults(self):
-        cfg = TimelineConfig()
-        assert cfg.interval_us == 1000.0
-        assert cfg.window == 1 and cfg.capacity == 65536
+        assert TimelineConfig().as_dict() == {"interval_us": 1000.0}
 
     @pytest.mark.parametrize("kwargs", [
         {"interval_us": 0.0},
@@ -31,16 +31,15 @@ class TestTimelineConfig:
         {"capacity": 0},
     ])
     def test_validation(self, kwargs):
+        # Bad intervals, and the retired window/capacity knobs, fail
+        # where the config is built.
         with pytest.raises(ConfigError):
-            TimelineConfig(**kwargs)
+            parse_observe({"timeline": kwargs})
 
     @pytest.mark.parametrize("field,value,message", [
         ("interval_us", float("nan"), "finite and positive, got nan"),
         ("interval_us", float("inf"), "finite and positive, got inf"),
         ("interval_us", "5", "finite and positive, got '5'"),
-        ("window", 1.5, "integer >= 1, got 1.5"),
-        ("window", True, "integer >= 1, got True"),
-        ("capacity", "8", "integer >= 1, got '8'"),
     ])
     def test_rejects_bad_numbers_in_one_line(self, field, value, message):
         """A NaN interval would otherwise reach the event queue from
@@ -51,7 +50,7 @@ class TestTimelineConfig:
         assert "\n" not in str(info.value)
 
     def test_from_dict_round_trip(self):
-        cfg = TimelineConfig(interval_us=500.0, window=4, capacity=128)
+        cfg = TimelineConfig(interval_us=500.0)
         assert TimelineConfig.from_dict(cfg.as_dict()) == cfg
 
     def test_from_dict_rejects_unknown_keys(self):
@@ -80,7 +79,7 @@ class TestParseObserve:
         assert on and cfg.interval_us == 250.0
 
     def test_timeline_config_shorthand(self):
-        cfg = TimelineConfig(window=2)
+        cfg = TimelineConfig(interval_us=2.0)
         assert parse_observe(cfg) == (True, cfg)
         assert canonical_observe(cfg) is cfg
 
@@ -92,60 +91,41 @@ class TestParseObserve:
             parse_observe(value)
 
     def test_canonical_form_is_hashable(self):
-        for value in (False, True, {"timeline": {"window": 2}}):
+        for value in (False, True, {"timeline": {"interval_us": 2.0}}):
             hash(canonical_observe(value))
 
 
 class TestSeriesBuffer:
     def test_window_of_one_stores_raw_samples(self):
-        buf = SeriesBuffer("gauge", capacity=8, window=1)
+        """Every sample is stored as it was taken, one (t, value) point."""
+        buf = SeriesBuffer("gauge", capacity=8)
         for t, v in [(0.0, 3.0), (1.0, 1.0), (2.0, 7.0)]:
             buf.record(t, v)
-        snap = buf.snapshot()
-        assert snap["t"] == [0.0, 1.0, 2.0]
-        assert snap["min"] == snap["max"] == snap["mean"] == snap["last"] == [
-            3.0, 1.0, 7.0
-        ]
-        assert buf.peak == 7.0 and buf.final == 7.0
-        assert snap["dropped"] == 0
-
-    def test_windowed_aggregation(self):
-        buf = SeriesBuffer("gauge", capacity=8, window=4)
-        for i, v in enumerate([4.0, 2.0, 8.0, 6.0]):
-            buf.record(float(i), v)
-        snap = buf.snapshot()
-        # One stored point stamped at the closing sample's time.
-        assert snap["t"] == [3.0]
-        assert snap["min"] == [2.0] and snap["max"] == [8.0]
-        assert snap["mean"] == [5.0] and snap["last"] == [6.0]
-
-    def test_flush_partial_emits_the_open_window(self):
-        buf = SeriesBuffer("gauge", capacity=8, window=4)
-        buf.record(0.0, 2.0)
-        buf.record(1.0, 4.0)
-        assert len(buf) == 0
-        buf.flush_partial(1.5)
-        snap = buf.snapshot()
-        assert snap["t"] == [1.5] and snap["mean"] == [3.0]
-        buf.flush_partial(2.0)  # nothing pending: no-op
-        assert len(buf) == 1
+        assert buf.snapshot() == {
+            "kind": "gauge", "dropped": 0,
+            "t": [0.0, 1.0, 2.0], "value": [3.0, 1.0, 7.0],
+        }
+        assert series_peak(buf.snapshot()) == 7.0
+        assert series_final(buf.snapshot()) == 7.0
 
     def test_ring_overwrites_oldest_and_counts_dropped(self):
-        buf = SeriesBuffer("gauge", capacity=3, window=1)
+        buf = SeriesBuffer("gauge", capacity=3)
         for i in range(5):
             buf.record(float(i), float(i * 10))
         snap = buf.snapshot()
         assert snap["t"] == [2.0, 3.0, 4.0]
-        assert snap["last"] == [20.0, 30.0, 40.0]
+        assert snap["value"] == [20.0, 30.0, 40.0]
         assert snap["dropped"] == 2
-        assert buf.final == 40.0
+        assert len(buf) == 3
+        assert series_final(snap) == 40.0
         # Peak reflects only what is still on record.
-        assert buf.peak == 40.0
+        assert series_peak(snap) == 40.0
 
     def test_empty_series(self):
-        buf = SeriesBuffer("gauge", capacity=4, window=1)
-        assert buf.peak == 0.0 and buf.final == 0.0
-        assert buf.snapshot()["t"] == []
+        buf = SeriesBuffer("gauge", capacity=4)
+        snap = buf.snapshot()
+        assert series_peak(snap) == 0.0 and series_final(snap) == 0.0
+        assert snap["t"] == []
 
 
 class TestTimelineSampling:
@@ -173,8 +153,8 @@ class TestTimelineSampling:
         # Anchor sample at t=0 plus one per 100us tick, plus the final
         # stop() sample.
         assert snap["t"][0] == 0.0
-        assert snap["last"][0] == 0.0
-        assert snap["last"][-1] == tl.series["layer.x"].final
+        assert snap["value"][0] == 0.0
+        assert snap["value"][-1] == values["x"] == 4.0
         assert tl.samples_taken >= 5
 
     def test_stop_disarms_the_sampler(self):
@@ -199,9 +179,7 @@ class TestTimelineSampling:
         tl.add_probe("x", lambda: 0.0)
         with pytest.raises(ConfigError):
             tl.add_probe("x", lambda: 1.0)
-        # Distinct labels are distinct series.
-        tl.add_probe("x", lambda: 1.0, policy="lru")
-        assert sorted(tl.series) == ["x", "x{policy=lru}"]
+        assert sorted(tl.series) == ["x"]
 
     def test_counter_kind_recorded_in_snapshot(self):
         _sim, tl = self._timeline()

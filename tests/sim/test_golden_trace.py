@@ -155,11 +155,29 @@ def test_trace_matches_golden_fixture(name, check, observe):
     result = job.run(GOLDEN[name][3]())
     _assert_matches_fixture(job.tracer.formatted(), FIXTURES / name)
     assert result.counters == unobserved_counters(name)
+    if observe:
+        _assert_one_record(result, observe)
     if name in COUNTERS:
         want = json.loads((FIXTURES / COUNTERS[name]).read_text())
         assert conduit_counters(result) == want
     if check is not None:
         assert result.check["violations"] == []
+
+
+def _assert_one_record(result, observe):
+    """The telemetry record holds the flat counters as they are, no
+    labelled series, and a (t, value) timeline only when sampled."""
+    record = result.telemetry
+    keys = {"spans", "counters", "histograms"}
+    if isinstance(observe, dict):
+        keys.add("timeline")
+    assert set(record) == keys
+    assert record["counters"] == result.counters
+    for section in ("counters", "histograms"):
+        assert not [k for k in record[section] if "{" in k]
+    for key, buf in record.get("timeline", {}).get("series", {}).items():
+        assert "{" not in key
+        assert set(buf) == {"kind", "dropped", "t", "value"}
 
 
 @pytest.mark.parametrize("lifecycle", [None], ids=["no-policy"])
