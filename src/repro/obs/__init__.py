@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional
 
 from ..sim import Counters, Simulator
 from .diff import (
-    RECORD_KEYS,
     diff_snapshots,
     format_diff,
     load_snapshot,
@@ -86,7 +85,6 @@ __all__ = [
     "validate_chrome_trace",
     "timeline_counter_events",
     "timeline_csv",
-    "RECORD_KEYS",
     "load_snapshot",
     "diff_snapshots",
     "format_diff",

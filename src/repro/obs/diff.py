@@ -24,7 +24,6 @@ import json
 from typing import Any, Dict, List, Optional
 
 __all__ = [
-    "RECORD_KEYS",
     "load_snapshot",
     "diff_snapshots",
     "format_diff",
