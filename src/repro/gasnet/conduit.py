@@ -534,6 +534,9 @@ class Conduit:
                compare: int = 0, operand: int = 0) -> Generator:
         """64-bit remote atomic; returns the old value."""
         self.counters.add("conduit.atomics")
+        tr = self.tracer
+        if tr is not None and tr.enabled:
+            tr.log(f"pe{self.rank}", "atomic", (peer, op))
         if peer != self.rank:
             self.touched_peers.add(peer)
         if peer == self.rank or self.cluster.same_node(peer, self.rank):

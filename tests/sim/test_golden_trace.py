@@ -1,6 +1,6 @@
 """Golden-trace determinism regression.
 
-Replays five runs and compares each full protocol trace — every active
+Replays six runs and compares each full protocol trace — every active
 message, connection request/serve/established, put and get, with exact
 timestamps — byte-for-byte against a committed fixture:
 
@@ -17,7 +17,13 @@ timestamps — byte-for-byte against a committed fixture:
   UD drop/duplicate/delay faults, which reaches the handshake's
   duplicate, collision and retransmission branches in both directions
   (connect and drain).  Its ``conduit.*`` counters are pinned too, in
-  ``golden_counters_churn_lru_faulted_16.json``.
+  ``golden_counters_churn_lru_faulted_16.json``;
+* ``golden_trace_graph500_16.txt``: ``Graph500Hybrid`` on 16 PEs, the
+  one fixture on the RC data path (remote atomics, puts and their
+  acks, QP-cache misses, RNR retries).  Its ``rc.*``, ``hca.*``,
+  ``fabric.*``, ``verbs.*`` and ``conduit.*`` counters are pinned in
+  ``golden_counters_graph500_16.json`` and the SHA-256 of its
+  ``app_results`` in ``APP_RESULTS``.
 
 Each fixture is also replayed under a strict sanitizer, and with the
 flight recorder on, with and without the timeline sampler.  Auditing
@@ -32,24 +38,29 @@ fixtures::
     PYTHONPATH=src python - <<'EOF'
     import json
     from tests.sim.test_golden_trace import (
-        COUNTERS, FIXTURES, GOLDEN, conduit_counters, golden_job)
+        COUNTERS, FIXTURES, GOLDEN, app_results_sha256, golden_job,
+        pinned_counters)
     for name, (_, _, _, app) in GOLDEN.items():
         job = golden_job(name)
         res = job.run(app())
         (FIXTURES / name).write_text("\n".join(job.tracer.formatted()) + "\n")
         if name in COUNTERS:
-            (FIXTURES / COUNTERS[name]).write_text(
-                json.dumps(conduit_counters(res), indent=1) + "\n")
+            file, prefixes = COUNTERS[name]
+            (FIXTURES / file).write_text(
+                json.dumps(pinned_counters(res, prefixes), indent=1) + "\n")
+        print(name, app_results_sha256(res))  # the APP_RESULTS entry
     EOF
 """
 
 import functools
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.apps import ChurnWorkload, HelloWorld
+from repro.apps.graph500 import Graph500Hybrid
 from repro.check import CheckPlan
 from repro.cluster import cluster_a, cluster_b
 from repro.core import Job, RuntimeConfig
@@ -93,12 +104,28 @@ GOLDEN = {
         16, RuntimeConfig.proposed(lifecycle=LRU, faults=CHURN_FAULTS),
         lambda: cluster_a(16), lambda: ChurnWorkload(epochs=2),
     ),
+    "golden_trace_graph500_16.txt": (
+        16, RuntimeConfig.proposed(heap_backing_kb=2048),
+        lambda: cluster_a(16),
+        lambda: Graph500Hybrid(scale=5, edgefactor=16, nroots=1),
+    ),
 }
 
-#: fixture name -> its pinned ``conduit.*`` counter dict
+#: fixture name -> (pinned counter file, the counter prefixes it holds)
 COUNTERS = {
-    "golden_trace_churn_lru_faulted_16.txt":
-        "golden_counters_churn_lru_faulted_16.json",
+    "golden_trace_churn_lru_faulted_16.txt": (
+        "golden_counters_churn_lru_faulted_16.json", ("conduit.",),
+    ),
+    "golden_trace_graph500_16.txt": (
+        "golden_counters_graph500_16.json",
+        ("conduit.", "fabric.", "hca.", "rc.", "verbs."),
+    ),
+}
+
+#: fixture name -> SHA-256 of its JSON-dumped ``app_results``
+APP_RESULTS = {
+    "golden_trace_graph500_16.txt":
+        "bddc2d231956eac1c781b185b46edc4afb06b34cca8bf4fbd81d093d72a061cb",
 }
 
 
@@ -108,9 +135,14 @@ def golden_job(name, check=None, observe=False):
                trace=True)
 
 
-def conduit_counters(result):
+def pinned_counters(result, prefixes):
     return {k: v for k, v in sorted(result.counters.items())
-            if k.startswith("conduit.")}
+            if k.startswith(prefixes)}
+
+
+def app_results_sha256(result):
+    app_json = json.dumps(result.app_results, sort_keys=True)
+    return hashlib.sha256(app_json.encode()).hexdigest()
 
 
 def _assert_matches_fixture(got, fixture):
@@ -158,8 +190,11 @@ def test_trace_matches_golden_fixture(name, check, observe):
     if observe:
         _assert_one_record(result, observe)
     if name in COUNTERS:
-        want = json.loads((FIXTURES / COUNTERS[name]).read_text())
-        assert conduit_counters(result) == want
+        file, prefixes = COUNTERS[name]
+        want = json.loads((FIXTURES / file).read_text())
+        assert pinned_counters(result, prefixes) == want
+    if name in APP_RESULTS:
+        assert app_results_sha256(result) == APP_RESULTS[name]
     if check is not None:
         assert result.check["violations"] == []
 
