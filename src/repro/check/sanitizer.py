@@ -136,7 +136,7 @@ class Sanitizer:
     # ib hooks (called from repro.ib.qp / repro.ib.hca)
     # ------------------------------------------------------------------
     def on_qp_registered(self, qp) -> None:
-        if self.plan.ib and getattr(qp, "is_rc", False):
+        if self.plan.ib and qp.is_rc:
             self._live_rc_qps.append(qp)
 
     def on_qp_state_error(self, qp, needed, detail: str) -> None:
@@ -454,6 +454,7 @@ class Sanitizer:
                     )
 
     def _audit_teardown(self, conduits) -> None:
+        closed = {conduit.rank for conduit in conduits if conduit._closed}
         for conduit in conduits:
             if conduit._closed and conduit._conns:
                 self._violate(
@@ -463,18 +464,24 @@ class Sanitizer:
                     rank=conduit.rank, raise_now=False,
                 )
         # A finalize that raced a handshake leaves an RC QP stuck
-        # half-open (INIT/RTR) in some HCA's table with nothing left to
-        # drive or destroy it.
+        # half-open (INIT/RTR) with nothing left to drive or destroy
+        # it.  Any other QP still in an HCA's table after its owner's
+        # conduit closed was leaked: finalize destroys every QP.
         from ..ib.types import QPState
 
         for hca in self._installed.get("hcas", ()):
             for qp in hca._qps.values():
-                if getattr(qp, "is_rc", False) and qp.state in (
-                    QPState.INIT, QPState.RTR,
-                ):
+                if qp.is_rc and qp.state in (QPState.INIT, QPState.RTR):
                     self._violate(
                         "conduit", "teardown.half_open_qp",
                         f"RC QP {qp.qpn} left {qp.state.value} at job end",
+                        rank=qp.owner_rank, raise_now=False,
+                    )
+                elif qp.owner_rank in closed:
+                    self._violate(
+                        "conduit", "teardown.qp_leaked",
+                        f"{qp.qp_type.value} QP {qp.qpn} on LID "
+                        f"{hca.lid:#x} left {qp.state.value} at job end",
                         rank=qp.owner_rank, raise_now=False,
                     )
 

@@ -97,6 +97,11 @@ class Cluster:
         return self._node_of[a] == self._node_of[b]
 
     # -- fabric geometry --------------------------------------------------
+    #: Switch hops between two distinct nodes under one leaf switch,
+    #: and between nodes whose leaves meet at the spine.
+    SAME_LEAF_HOPS = 1
+    CROSS_SPINE_HOPS = 3
+
     def hops(self, node_a: int, node_b: int) -> int:
         """Switch hops between two nodes (0 when identical).
 
@@ -107,8 +112,8 @@ class Cluster:
             return 0
         radix = self.cost.leaf_radix
         if node_a // radix == node_b // radix:
-            return 1
-        return 3
+            return self.SAME_LEAF_HOPS
+        return self.CROSS_SPINE_HOPS
 
     def lid_of(self, rank: int) -> int:
         """InfiniBand LID of the node hosting ``rank`` (one HCA/node)."""

@@ -60,11 +60,14 @@ class StaticConduit(Conduit):
         self._closed = True
         yield from self.ctx.bulk_charge_qp_destroy(self.cluster.npes)
         # The bulk charge pays for every QP, including the lazily
-        # materialised ones — destroy those objects too so the HCA's QP
-        # table ends the job empty (and the sanitizer can assert it).
+        # materialised ones and the UD endpoint — destroy those objects
+        # too so the HCA's QP table ends the job empty (and the
+        # sanitizer can assert it).
         for conn in self._conns.values():
             conn.qp.destroy()
         self._conns.clear()
+        if self.ud_qp is not None:
+            self.ud_qp.destroy()
 
     # ------------------------------------------------------------------
     def ensure_connected(self, peer: int) -> Generator:

@@ -44,8 +44,16 @@ class Fabric:
     ) -> None:
         self.sim = sim
         self.cluster = cluster
-        self.cost = cluster.cost
+        cost = self.cost = cluster.cost
         self.counters = counters
+        #: The counters' backing dict, bumped in place on every packet.
+        self._counts = counters.counts
+        #: Propagation latency (a zero-byte wire time) of the fat tree's
+        #: two inter-node cases in ``Cluster.hops``: same leaf switch, or
+        #: across the spine.
+        self._leaf_radix = cost.leaf_radix
+        self._same_leaf_us = cost.wire_time(0, cluster.SAME_LEAF_HOPS)
+        self._cross_spine_us = cost.wire_time(0, cluster.CROSS_SPINE_HOPS)
         self._loss_rng = rng.stream("fabric.ud-loss")
         self._hcas: Dict[int, "HCA"] = {}  # lid -> HCA
         #: Optional fault injector (installed by ``Job`` if ``config.faults``).
@@ -68,8 +76,9 @@ class Fabric:
         dst = self._hcas.get(packet.dst_lid)
         if dst is None:
             raise KeyError(f"no HCA with LID {packet.dst_lid:#x}")
-        self.counters.add("fabric.packets")
-        self.counters.add("fabric.bytes", packet.nbytes)
+        counts = self._counts
+        counts["fabric.packets"] += 1
+        counts["fabric.bytes"] += packet.nbytes
 
         if unreliable:
             extra = 0.0
@@ -123,17 +132,19 @@ class Fabric:
     def _deliver(
         self, src: "HCA", dst: "HCA", packet: "Packet", extra_delay: float
     ) -> None:
-        now = self.sim.now
-        if src.node == dst.node:
+        sim = self.sim
+        now = sim.now
+        a, b = src.node, dst.node
+        if a == b:
             arrival = now + self.cost.intra_node_time(packet.nbytes) + extra_delay
         else:
             ser = packet.nbytes / self.cost.fabric_bandwidth
-            start = max(now, src.egress_free_at)
+            start = src.egress_free_at
+            if start < now:
+                start = now
             src.egress_free_at = start + ser
-            hops = self.cluster.hops(src.node, dst.node)
-            prop = (
-                self.cost.fabric_base_latency_us
-                + self.cost.fabric_hop_latency_us * max(0, hops - 1)
-            )
+            radix = self._leaf_radix
+            prop = (self._same_leaf_us if a // radix == b // radix
+                    else self._cross_spine_us)
             arrival = start + ser + prop + extra_delay
-        self.sim._schedule_at(arrival, dst.receive, packet)
+        sim._schedule_at(arrival, dst.receive, packet)

@@ -14,12 +14,12 @@ clusters).  The HCA owns
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cluster import CostModel
 from ..errors import RemoteAccessError
 from ..sim import Counters, Simulator
-from .memory import MemoryManager, MemoryRegion
+from .memory import MemoryRegion
 from .types import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,8 +61,8 @@ class HCA:
     """A node's InfiniBand adapter."""
 
     __slots__ = ("sim", "fabric", "node", "lid", "cost", "counters",
-                 "egress_free_at", "_qps", "_next_qpn", "_qp_cache", "_rkeys",
-                 "_revoked_rkeys", "faults", "check")
+                 "_counts", "egress_free_at", "_qps", "_next_qpn",
+                 "_qp_cache", "_rkeys", "_revoked_rkeys", "faults", "check")
 
     def __init__(
         self,
@@ -79,12 +79,14 @@ class HCA:
         self.lid = lid
         self.cost = cost
         self.counters = counters
+        #: The counters' backing dict, bumped in place on the per-packet path.
+        self._counts = counters.counts
         #: When this HCA's uplink becomes idle (egress serialisation).
         self.egress_free_at = 0.0
         self._qps: Dict[int, object] = {}
         self._next_qpn = 1
         self._qp_cache: "OrderedDict[int, None]" = OrderedDict()
-        self._rkeys: Dict[int, Tuple[MemoryRegion, MemoryManager]] = {}
+        self._rkeys: Dict[int, MemoryRegion] = {}
         #: rkeys whose region was deregistered (distinguishes a revoked
         #: handle from one that never existed when NAKing).
         self._revoked_rkeys: Dict[int, None] = {}
@@ -138,7 +140,7 @@ class HCA:
         cache = self._qp_cache
         if qpn in cache:
             cache.move_to_end(qpn)
-            self.counters.add("hca.qp_cache_hits")
+            self._counts["hca.qp_cache_hits"] += 1
             if self.check is not None:
                 self.check.on_cache_touch(self, hit=True, evicted=False)
             return 0.0
@@ -153,15 +155,16 @@ class HCA:
         return self.cost.qp_cache_miss_penalty_us
 
     # -- memory routing -------------------------------------------------------
-    def expose_memory(self, mm: MemoryManager, region: MemoryRegion) -> None:
+    def expose_memory(self, region: MemoryRegion) -> None:
         """Make a PE's registered region reachable by inbound RDMA."""
-        self._rkeys[region.rkey] = (region, mm)
+        self._rkeys[region.rkey] = region
 
     def hide_memory(self, region: MemoryRegion) -> None:
         if self._rkeys.pop(region.rkey, None) is not None:
             self._revoked_rkeys[region.rkey] = None
 
-    def memory_target(self, rkey: int) -> Tuple[MemoryRegion, MemoryManager]:
+    def memory_target(self, rkey: int) -> MemoryRegion:
+        """The region an inbound RDMA's rkey names (its one lookup)."""
         try:
             return self._rkeys[rkey]
         except KeyError:
@@ -188,16 +191,10 @@ class HCA:
                 # write-through, never a hang on a swallowed WR.
                 self.counters.add("hca.nak_dead_qp")
                 self.fabric.transmit(self, Packet(
-                    kind="nak",
-                    dst_lid=packet.src_lid,
-                    dst_qpn=packet.src_qpn,
-                    src_lid=self.lid,
-                    src_qpn=packet.dst_qpn,
-                    nbytes=16,
-                    token=packet.token,
-                    payload=(
-                        f"LID {self.lid:#x}: QP {packet.dst_qpn} destroyed"
-                    ),
+                    "nak", packet.src_lid, packet.src_qpn, self.lid,
+                    packet.dst_qpn, 16,
+                    f"LID {self.lid:#x}: QP {packet.dst_qpn} destroyed",
+                    0, 0, packet.token, 0, 0,
                 ))
                 return
             # Responses/acks/UD for a missing QP: on real hardware
@@ -206,10 +203,10 @@ class HCA:
             # and count.
             self.counters.add("hca.dropped_no_qp")
             return
-        penalty = 0.0
-        if getattr(qp, "is_rc", False):
+        if qp.is_rc:
             penalty = self.touch_qp_cache(packet.dst_qpn)
-        if penalty > 0.0:
-            self.sim._schedule_at(self.sim.now + penalty, qp.handle, packet)
-        else:
-            qp.handle(packet)
+            if penalty > 0.0:
+                sim = self.sim
+                sim._schedule_at(sim.now + penalty, qp.handle, packet)
+                return
+        qp.handle(packet)

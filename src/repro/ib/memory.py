@@ -14,6 +14,7 @@ that a stale or wrong key is always caught.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -24,6 +25,11 @@ from ..errors import MemoryRegistrationError, RemoteAccessError
 __all__ = ["MemoryRegion", "MemoryManager"]
 
 _rkey_counter = itertools.count(0x1000)
+
+#: A 64-bit atomic's word: read signed (the value returned to the
+#: requester), written back as its low 64 bits (two's complement).
+_I64 = struct.Struct("<q")
+_U64 = struct.Struct("<Q")
 
 
 @dataclass(slots=True)
@@ -46,17 +52,55 @@ class MemoryRegion:
     #: revoked region must fail, never read through.
     revoked: bool = False
 
-    @property
-    def buf(self) -> np.ndarray:
-        """Backing storage (uint8, length ``size``), created on first use."""
-        return self.mm.buffer_of(self.addr)
+    def _offset(self, raddr: int, nbytes: int, kind: str) -> int:
+        """Offset of ``raddr`` into the region, after the revocation
+        and bounds checks that every remote access passes.
 
-    def contains(self, addr: int, nbytes: int) -> bool:
-        return (nbytes >= 0 and self.addr <= addr
-                and addr + nbytes <= self.addr + self.size)
+        Inbound RDMA applies :meth:`write`, :meth:`read` and
+        :meth:`atomic` to the region the HCA's rkey table resolved; the
+        intra-node conduit path reaches the same methods through
+        :class:`MemoryManager`'s by-rkey wrappers.
+        """
+        if self.revoked:
+            raise RemoteAccessError(
+                f"PE {self.owner_rank}: rkey {self.rkey:#x} revoked "
+                f"(region deregistered)"
+            )
+        base = self.addr
+        if not (nbytes >= 0 and base <= raddr
+                and raddr + nbytes <= base + self.size):
+            what = (f"atomic at {raddr:#x}" if kind == "atomic"
+                    else f"{kind} {raddr:#x}+{nbytes}")
+            raise RemoteAccessError(
+                f"PE {self.owner_rank}: {what} outside region "
+                f"rkey={self.rkey:#x}"
+            )
+        return raddr - base
 
-    def offset_of(self, addr: int) -> int:
-        return addr - self.addr
+    def write(self, raddr: int, data: bytes) -> None:
+        n = len(data)
+        off = self._offset(raddr, n, "write")
+        self.mm.buffer_of(self.addr)[off : off + n] = np.frombuffer(
+            data, dtype=np.uint8
+        )
+
+    def read(self, raddr: int, nbytes: int) -> bytes:
+        off = self._offset(raddr, nbytes, "read")
+        return bytes(self.mm.buffer_of(self.addr)[off : off + nbytes])
+
+    def atomic(self, raddr: int, op: str, compare: int, operand: int) -> int:
+        """Execute a 64-bit atomic at ``raddr``; returns the old value."""
+        off = self._offset(raddr, 8, "atomic")
+        buf = self.mm.buffer_of(self.addr)
+        old = _I64.unpack_from(buf, off)[0]
+        if op == "fetch_add":
+            new = old + operand
+        elif op == "cmp_swap":
+            new = operand if old == compare else old
+        else:
+            raise ValueError(f"unknown atomic op {op!r}")
+        _U64.pack_into(buf, off, new & 0xFFFF_FFFF_FFFF_FFFF)
+        return old
 
 
 class MemoryManager:
@@ -165,11 +209,6 @@ class MemoryManager:
             raise RemoteAccessError(
                 f"PE {self.rank}: unknown rkey {rkey:#x}"
             ) from None
-        if region.revoked:  # pragma: no cover - defence in depth
-            raise RemoteAccessError(
-                f"PE {self.rank}: rkey {rkey:#x} revoked "
-                f"(region deregistered)"
-            )
         return region
 
     # -- local access ------------------------------------------------------
@@ -191,46 +230,13 @@ class MemoryManager:
         buf, off = self._locate(addr, len(data))
         buf[off : off + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
-    # -- remote (validated) access -----------------------------------------
+    # -- remote (validated) access by rkey ------------------------------
     def rdma_write(self, raddr: int, rkey: int, data: bytes) -> None:
-        region = self.region_by_rkey(rkey)
-        if not region.contains(raddr, len(data)):
-            raise RemoteAccessError(
-                f"PE {self.rank}: write {raddr:#x}+{len(data)} outside "
-                f"region rkey={rkey:#x}"
-            )
-        off = region.offset_of(raddr)
-        region.buf[off : off + len(data)] = np.frombuffer(data, dtype=np.uint8)
+        self.region_by_rkey(rkey).write(raddr, data)
 
     def rdma_read(self, raddr: int, rkey: int, nbytes: int) -> bytes:
-        region = self.region_by_rkey(rkey)
-        if not region.contains(raddr, nbytes):
-            raise RemoteAccessError(
-                f"PE {self.rank}: read {raddr:#x}+{nbytes} outside "
-                f"region rkey={rkey:#x}"
-            )
-        off = region.offset_of(raddr)
-        return bytes(region.buf[off : off + nbytes])
+        return self.region_by_rkey(rkey).read(raddr, nbytes)
 
     def atomic(self, raddr: int, rkey: int, op: str, compare: int, operand: int) -> int:
         """Execute a 64-bit atomic at ``raddr``; returns the old value."""
-        region = self.region_by_rkey(rkey)
-        if not region.contains(raddr, 8):
-            raise RemoteAccessError(
-                f"PE {self.rank}: atomic at {raddr:#x} outside region "
-                f"rkey={rkey:#x}"
-            )
-        off = region.offset_of(raddr)
-        view = region.buf[off : off + 8]
-        old = int(np.frombuffer(view.tobytes(), dtype="<i8")[0])
-        if op == "fetch_add":
-            new = old + operand
-        elif op == "cmp_swap":
-            new = operand if old == compare else old
-        else:
-            raise ValueError(f"unknown atomic op {op!r}")
-        view[:] = np.frombuffer(
-            int(new & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little", signed=False),
-            dtype=np.uint8,
-        )
-        return old
+        return self.region_by_rkey(rkey).atomic(raddr, op, compare, operand)

@@ -21,6 +21,12 @@ __all__ = ["UDQueuePair", "RCQueuePair"]
 
 _token_counter = itertools.count(1)
 
+_RTS = QPState.RTS
+_RTR = QPState.RTR
+
+#: Packet kinds that retire a posted WR at the requester.
+_COMPLETIONS = frozenset(("ack", "rdma_read_resp", "atomic_resp", "nak"))
+
 
 class _QueuePairBase:
     """State shared by both transports."""
@@ -106,41 +112,30 @@ class UDQueuePair(_QueuePairBase):
         nbytes: int,
         wr_id: int = 0,
     ) -> None:
-        self._require(QPState.RTS)
+        if self.state is not _RTS:
+            self._require(_RTS)
         if nbytes > self.hca.cost.ud_mtu_bytes:
             raise VerbsError(
                 f"UD payload {nbytes}B exceeds MTU "
                 f"{self.hca.cost.ud_mtu_bytes}B"
             )
-        packet = Packet(
-            kind="ud",
-            dst_lid=dst.lid,
-            dst_qpn=dst.qpn,
-            src_lid=self.hca.lid,
-            src_qpn=self.qpn,
-            nbytes=nbytes,
-            payload=payload,
-        )
-        self.hca.fabric.transmit(self.hca, packet, unreliable=True)
+        hca = self.hca
+        packet = Packet("ud", dst.lid, dst.qpn, hca.lid, self.qpn, nbytes,
+                        payload, 0, 0, 0, 0, 0)
+        hca.fabric.transmit(hca, packet, unreliable=True)
         # UD send completes locally once the datagram is on the wire.
-        self.send_cq.push(
-            WorkCompletion(wr_id=wr_id, opcode=Opcode.SEND, byte_len=nbytes)
-        )
+        self.send_cq.push(WorkCompletion(
+            wr_id, Opcode.SEND, WCStatus.SUCCESS, nbytes, None, None, None,
+        ))
 
     def handle(self, packet: Packet) -> None:
         if self.state is not QPState.RTS:
             self.hca.counters.add("ud.dropped_not_ready")
             return
-        self.recv_cq.push(
-            WorkCompletion(
-                wr_id=0,
-                opcode=Opcode.RECV,
-                byte_len=packet.nbytes,
-                src_qpn=packet.src_qpn,
-                src_addr=EndpointAddress(packet.src_lid, packet.src_qpn),
-                data=packet.payload,
-            )
-        )
+        self.recv_cq.push(WorkCompletion(
+            0, Opcode.RECV, WCStatus.SUCCESS, packet.nbytes, packet.src_qpn,
+            EndpointAddress(packet.src_lid, packet.src_qpn), packet.payload,
+        ))
 
 
 class RCQueuePair(_QueuePairBase):
@@ -216,22 +211,21 @@ class RCQueuePair(_QueuePairBase):
             self._obs = None
 
     # -- posting ---------------------------------------------------------------
-    def _transmit(self, kind: str, nbytes: int, **fields) -> None:
-        assert self.remote is not None
-        penalty = self.hca.touch_qp_cache(self.qpn)
-        packet = Packet(
-            kind=kind,
-            dst_lid=self.remote.lid,
-            dst_qpn=self.remote.qpn,
-            src_lid=self.hca.lid,
-            src_qpn=self.qpn,
-            nbytes=nbytes,
-            **fields,
-        )
+    def _transmit(self, kind: str, nbytes: int, payload, raddr: int,
+                  rkey: int, token: int, compare: int,
+                  swap_or_add: int) -> None:
+        remote = self.remote
+        assert remote is not None
+        hca = self.hca
+        qpn = self.qpn
+        penalty = hca.touch_qp_cache(qpn)
+        packet = Packet(kind, remote.lid, remote.qpn, hca.lid, qpn, nbytes,
+                        payload, raddr, rkey, token, compare, swap_or_add)
         if penalty > 0.0:
-            self.sim._schedule_at(self.sim.now + penalty, self._inject, packet)
+            sim = self.sim
+            sim._schedule_at(sim.now + penalty, self._inject, packet)
         else:
-            self.hca.fabric.transmit(self.hca, packet)
+            hca.fabric.transmit(hca, packet)
 
     def _inject(self, packet: Packet) -> None:
         """Delayed transmit continuation (QP-cache-miss penalty path)."""
@@ -247,30 +241,29 @@ class RCQueuePair(_QueuePairBase):
 
     def post_send(self, payload: object, nbytes: int, wr_id: int = 0) -> None:
         """Two-sided send; remote gets a recv completion with the payload."""
-        self._require(QPState.RTS)
+        if self.state is not _RTS:
+            self._require(_RTS)
         token = self._track(wr_id, Opcode.SEND)
-        self._transmit("send", nbytes, payload=payload, token=token)
+        self._transmit("send", nbytes, payload, 0, 0, token, 0, 0)
 
     def post_rdma_write(
         self, data: bytes, raddr: int, rkey: int, wr_id: int = 0
     ) -> None:
-        self._require(QPState.RTS)
+        if self.state is not _RTS:
+            self._require(_RTS)
         token = self._track(wr_id, Opcode.RDMA_WRITE)
-        self._transmit(
-            "rdma_write", len(data), payload=data, raddr=raddr, rkey=rkey,
-            token=token,
-        )
+        self._transmit("rdma_write", len(data), data, raddr, rkey, token,
+                       0, 0)
 
     def post_rdma_read(
         self, nbytes: int, raddr: int, rkey: int, wr_id: int = 0
     ) -> None:
-        self._require(QPState.RTS)
+        if self.state is not _RTS:
+            self._require(_RTS)
         token = self._track(wr_id, Opcode.RDMA_READ)
         # Read request itself is a small control packet.
-        self._transmit(
-            "rdma_read_req", 32, raddr=raddr, rkey=rkey, token=token,
-            swap_or_add=nbytes,
-        )
+        self._transmit("rdma_read_req", 32, None, raddr, rkey, token, 0,
+                       nbytes)
 
     def post_atomic(
         self,
@@ -281,22 +274,16 @@ class RCQueuePair(_QueuePairBase):
         swap_or_add: int = 0,
         wr_id: int = 0,
     ) -> None:
-        self._require(QPState.RTS)
+        if self.state is not _RTS:
+            self._require(_RTS)
         opcode = (
             Opcode.ATOMIC_FETCH_ADD if op == "fetch_add" else Opcode.ATOMIC_CMP_SWAP
         )
         token = self._track(wr_id, opcode)
-        self._transmit(
-            "atomic_req", 40, raddr=raddr, rkey=rkey, token=token,
-            compare=compare, swap_or_add=swap_or_add,
-            payload=op,
-        )
+        self._transmit("atomic_req", 40, op, raddr, rkey, token, compare,
+                       swap_or_add)
 
     # -- arrival ------------------------------------------------------------------
-    def _reply(self, kind: str, nbytes: int, token: int, payload=None) -> None:
-        """Send an ack/response back to the connected peer."""
-        self._transmit(kind, nbytes, token=token, payload=payload)
-
     def _nak(self, packet: Packet, exc: RemoteAccessError) -> None:
         """Inbound RDMA/atomic hit a revoked or unknown rkey.
 
@@ -309,7 +296,7 @@ class RCQueuePair(_QueuePairBase):
         check = self.hca.check
         if check is not None:
             check.on_remote_access_error(self, packet.rkey, str(exc))
-        self._reply("nak", 16, packet.token, payload=str(exc))
+        self._transmit("nak", 16, str(exc), 0, 0, packet.token, 0, 0)
 
     #: Redelivery delay when a packet reaches a QP that is not yet RTR
     #: (models the RNR/retry behaviour of real RC hardware: the sender's
@@ -317,7 +304,99 @@ class RCQueuePair(_QueuePairBase):
     RNR_RETRY_US = 25.0
 
     def handle(self, packet: Packet) -> None:
-        if self.state is QPState.INIT:
+        """Act on an arriving packet.
+
+        The data path (RTR/RTS) is tested first.  Requests are answered
+        (ack, response or NAK) through ``_transmit`` with the RDMA
+        fields zeroed.
+        """
+        state = self.state
+        if state is _RTS or state is _RTR:
+            if self._obs is not None and not self._obs_delivered:
+                # The first packet this RC QP delivers: the tail of the
+                # acceptance chain (handshake -> ... -> first RC delivery).
+                self._obs_delivered = True
+                spans, parent = self._obs
+                spans.event(
+                    "rc.first_delivery", f"pe{self.owner_rank}",
+                    parent=parent, qpn=self.qpn, kind=packet.kind,
+                )
+            kind = packet.kind
+            if kind in _COMPLETIONS:
+                try:
+                    wr_id, opcode = self._pending.pop(packet.token)
+                except KeyError:
+                    check = self.hca.check
+                    if check is not None:
+                        check.on_unmatched_completion(
+                            self, kind, packet.token
+                        )
+                    raise VerbsError(
+                        f"RC QP {self.qpn}: unmatched {kind} "
+                        f"token={packet.token}"
+                    ) from None
+                check = self.hca.check
+                if kind == "nak":
+                    # Remote-access failure at the target: surface as an
+                    # error completion at the requester (IBV maps a
+                    # remote access NAK to IBV_WC_REM_ACCESS_ERR).
+                    if check is not None:
+                        check.on_wr_errored(self, packet.token)
+                    self.send_cq.push(WorkCompletion(
+                        wr_id, opcode, WCStatus.REMOTE_ACCESS_ERROR, 0,
+                        None, None, packet.payload,
+                    ))
+                    return
+                if check is not None:
+                    check.on_wr_completed(self, packet.token)
+                self.send_cq.push(WorkCompletion(
+                    wr_id, opcode, WCStatus.SUCCESS, packet.nbytes, None,
+                    None, packet.payload,
+                ))
+            # Inbound RDMA and atomics: one rkey lookup, and the access
+            # applies to the region it resolved.
+            elif kind == "atomic_req":
+                try:
+                    old = self.hca.memory_target(packet.rkey).atomic(
+                        packet.raddr, packet.payload, packet.compare,
+                        packet.swap_or_add,
+                    )
+                except RemoteAccessError as exc:
+                    self._nak(packet, exc)
+                else:
+                    self._transmit("atomic_resp", 16, old, 0, 0,
+                                   packet.token, 0, 0)
+            elif kind == "rdma_write":
+                try:
+                    self.hca.memory_target(packet.rkey).write(
+                        packet.raddr, packet.payload
+                    )
+                except RemoteAccessError as exc:
+                    self._nak(packet, exc)
+                else:
+                    self._transmit("ack", 16, None, 0, 0, packet.token, 0, 0)
+            elif kind == "rdma_read_req":
+                try:
+                    data = self.hca.memory_target(packet.rkey).read(
+                        packet.raddr, packet.swap_or_add
+                    )
+                except RemoteAccessError as exc:
+                    self._nak(packet, exc)
+                else:
+                    self._transmit("rdma_read_resp", len(data), data, 0,
+                                   0, packet.token, 0, 0)
+            elif kind == "send":
+                self.recv_cq.push(WorkCompletion(
+                    0, Opcode.RECV, WCStatus.SUCCESS, packet.nbytes,
+                    packet.src_qpn,
+                    EndpointAddress(packet.src_lid, packet.src_qpn),
+                    packet.payload,
+                ))
+                self._transmit("ack", 16, None, 0, 0, packet.token, 0, 0)
+            else:  # pragma: no cover - protocol exhaustiveness guard
+                raise VerbsError(f"RC QP: unknown packet kind {kind!r}")
+            return
+        if state is QPState.INIT:
             self.hca.counters.add("rc.rnr_retries")
             if self._obs is not None:
                 spans, parent = self._obs
@@ -329,7 +408,7 @@ class RCQueuePair(_QueuePairBase):
                 self.sim.now + self.RNR_RETRY_US, self.handle, packet
             )
             return
-        if self.state is QPState.ERROR:
+        if state is QPState.ERROR:
             # An RNR redelivery (scheduled above while we were INIT) can
             # race with QP teardown: a collision-losing client destroys
             # its half-connected QP while the delayed ``handle`` is
@@ -338,103 +417,7 @@ class RCQueuePair(_QueuePairBase):
             # perfectly legal protocol interleaving.
             self.hca.counters.add("rc.dropped_dead_qp")
             return
-        if self.state not in (QPState.RTR, QPState.RTS):
-            raise QPStateError(
-                f"RC QP {self.qpn} (PE {self.owner_rank}) got {packet.kind} "
-                f"while {self.state.value}"
-            )
-        if self._obs is not None and not self._obs_delivered:
-            # The first packet this RC QP delivers: the tail of the
-            # acceptance chain (handshake -> ... -> first RC delivery).
-            self._obs_delivered = True
-            spans, parent = self._obs
-            spans.event(
-                "rc.first_delivery", f"pe{self.owner_rank}",
-                parent=parent, qpn=self.qpn, kind=packet.kind,
-            )
-        cost = self.hca.cost
-        if packet.kind == "send":
-            self.recv_cq.push(
-                WorkCompletion(
-                    wr_id=0,
-                    opcode=Opcode.RECV,
-                    byte_len=packet.nbytes,
-                    src_qpn=packet.src_qpn,
-                    src_addr=EndpointAddress(packet.src_lid, packet.src_qpn),
-                    data=packet.payload,
-                )
-            )
-            self._reply("ack", 16, packet.token)
-        elif packet.kind == "rdma_write":
-            try:
-                region, mm = self.hca.memory_target(packet.rkey)
-                mm.rdma_write(packet.raddr, packet.rkey, packet.payload)
-            except RemoteAccessError as exc:
-                self._nak(packet, exc)
-            else:
-                self._reply("ack", 16, packet.token)
-        elif packet.kind == "rdma_read_req":
-            try:
-                region, mm = self.hca.memory_target(packet.rkey)
-                data = mm.rdma_read(
-                    packet.raddr, packet.rkey, packet.swap_or_add
-                )
-            except RemoteAccessError as exc:
-                self._nak(packet, exc)
-            else:
-                self._reply(
-                    "rdma_read_resp", len(data), packet.token, payload=data
-                )
-        elif packet.kind == "atomic_req":
-            try:
-                region, mm = self.hca.memory_target(packet.rkey)
-                old = mm.atomic(
-                    packet.raddr, packet.rkey, packet.payload,
-                    packet.compare, packet.swap_or_add,
-                )
-            except RemoteAccessError as exc:
-                self._nak(packet, exc)
-            else:
-                self._reply("atomic_resp", 16, packet.token, payload=old)
-        elif packet.kind in ("ack", "rdma_read_resp", "atomic_resp", "nak"):
-            try:
-                wr_id, opcode = self._pending.pop(packet.token)
-            except KeyError:
-                check = self.hca.check
-                if check is not None:
-                    check.on_unmatched_completion(
-                        self, packet.kind, packet.token
-                    )
-                raise VerbsError(
-                    f"RC QP {self.qpn}: unmatched {packet.kind} "
-                    f"token={packet.token}"
-                ) from None
-            check = self.hca.check
-            if packet.kind == "nak":
-                # Remote-access failure at the target: surface as an
-                # error completion at the requester (IBV maps a remote
-                # access NAK to IBV_WC_REM_ACCESS_ERR).
-                if check is not None:
-                    check.on_wr_errored(self, packet.token)
-                self.send_cq.push(
-                    WorkCompletion(
-                        wr_id=wr_id,
-                        opcode=opcode,
-                        status=WCStatus.REMOTE_ACCESS_ERROR,
-                        byte_len=0,
-                        data=packet.payload,
-                    )
-                )
-                return
-            if check is not None:
-                check.on_wr_completed(self, packet.token)
-            self.send_cq.push(
-                WorkCompletion(
-                    wr_id=wr_id,
-                    opcode=opcode,
-                    byte_len=packet.nbytes,
-                    data=packet.payload,
-                )
-            )
-        else:  # pragma: no cover - protocol exhaustiveness guard
-            raise VerbsError(f"RC QP: unknown packet kind {packet.kind!r}")
+        raise QPStateError(
+            f"RC QP {self.qpn} (PE {self.owner_rank}) got {packet.kind} "
+            f"while {state.value}"
+        )

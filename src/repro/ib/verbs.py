@@ -207,7 +207,7 @@ class VerbsContext:
         size_for_cost = model_bytes if model_bytes is not None else size
         yield self.cost.mr_register_us(size_for_cost)
         region = self.mm.register(addr)
-        self.hca.expose_memory(self.mm, region)
+        self.hca.expose_memory(region)
         self.registered_bytes += size_for_cost
         self.counters.add("verbs.mr_registered")
         return region

@@ -22,22 +22,29 @@ __all__ = ["Counters", "PhaseTimer", "Tracer", "TraceRecord"]
 
 
 class Counters:
-    """Named integer counters with dict-like reads."""
+    """Named integer counters with dict-like reads.
+
+    :attr:`counts` is the backing ``defaultdict`` itself, so a hot
+    site may bump it in place (``counts["fabric.packets"] += 1``) and
+    skip the :meth:`add` call; both write the same one counter surface.
+    """
+
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
-        self._counts: Dict[str, int] = defaultdict(int)
+        self.counts: Dict[str, int] = defaultdict(int)
 
     def add(self, name: str, amount: int = 1) -> None:
-        self._counts[name] += amount
+        self.counts[name] += amount
 
     def __getitem__(self, name: str) -> int:
-        return self._counts.get(name, 0)
+        return self.counts.get(name, 0)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
+        return dict(self.counts)
 
     def reset(self) -> None:
-        self._counts.clear()
+        self.counts.clear()
 
 
 class PhaseTimer:

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.apps import HelloWorld
+from repro.check import CheckPlan
+from repro.cluster import cluster_b
+from repro.core import Job, RuntimeConfig
 from repro.errors import ConduitError, ShmemError
 from repro.gasnet import SegmentInfo, SegmentTable, decode_segments, encode_segments
 from repro.sim import spawn
@@ -107,6 +111,16 @@ class TestStaticWireup:
         spawn(rig.sim, pe0(rig.sim))
         rig.sim.run()
         assert marks["dt"] == pytest.approx(8 * rig.cluster.cost.qp_destroy_us)
+
+    @pytest.mark.parametrize("corner", ["current", "proposed"])
+    def test_finalize_leaves_no_live_qp(self, corner):
+        """Both designs end a job with every HCA's QP table empty: the
+        static bulk teardown destroys the UD endpoint too."""
+        config = getattr(RuntimeConfig, corner)(check=CheckPlan(strict=True))
+        job = Job(npes=64, config=config, cluster=cluster_b(64, ppn=16))
+        result = job.run(HelloWorld())
+        assert [len(hca._qps) for hca in job.hcas] == [0] * 4
+        assert result.check["violations"] == []
 
 
 class TestSegmentCodec:

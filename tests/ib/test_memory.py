@@ -135,3 +135,69 @@ class TestAtomics:
         region = mm.register(mm.alloc(16))
         with pytest.raises(ValueError):
             mm.atomic(region.addr, region.rkey, "nonsense", 0, 1)
+
+    def test_fetch_add_past_int64_max_wraps_to_min(self, mm):
+        region = mm.register(mm.alloc(16))
+        top = (1 << 63) - 1
+        mm.write_local(region.addr, top.to_bytes(8, "little", signed=True))
+        assert mm.atomic(region.addr, region.rkey, "fetch_add", 0, 1) == top
+        assert mm.atomic(region.addr, region.rkey, "fetch_add", 0, 0) == -(1 << 63)
+        raw = mm.read_local(region.addr, 8)
+        assert int.from_bytes(raw, "little", signed=True) == -(1 << 63)
+
+    def test_cmp_swap_with_negative_compare_and_operand(self, mm):
+        region = mm.register(mm.alloc(16))
+        mm.atomic(region.addr, region.rkey, "fetch_add", 0, -5)
+        assert mm.atomic(region.addr, region.rkey, "cmp_swap", -5, -7) == -5
+        assert mm.atomic(region.addr, region.rkey, "cmp_swap", -6, 1) == -7
+        raw = mm.read_local(region.addr, 8)
+        assert int.from_bytes(raw, "little", signed=True) == -7
+
+
+#: One atomic sequence over the int64 edges: (op, compare, operand).
+EDGE_OPS = [
+    ("fetch_add", 0, (1 << 63) - 1),
+    ("fetch_add", 0, 1),
+    ("cmp_swap", -(1 << 63), -3),
+    ("cmp_swap", 0, 99),
+    ("fetch_add", 0, -(1 << 62)),
+]
+
+
+def test_intra_node_atomic_matches_the_inbound_path():
+    """``MemoryManager.atomic`` (the conduit's same-node path, by rkey)
+    and an RC atomic applied at the target HCA agree value for value
+    and byte for byte."""
+    from repro.sim import spawn
+
+    from ..conftest import build_rig
+    from .test_qp_transport import _connect_pair
+
+    rig = build_rig(npes=2, ppn=1)
+    pair = _connect_pair(rig)
+    ctx0, ctx1 = rig.ctxs
+    got = {"intra": [], "inbound": []}
+
+    def proc(sim):
+        local = yield from ctx1.reg_mr(ctx1.mm.alloc(64))
+        remote = yield from ctx1.reg_mr(ctx1.mm.alloc(64))
+        for op, compare, operand in EDGE_OPS:
+            got["intra"].append(ctx1.mm.atomic(
+                local.addr + 8, local.rkey, op, compare, operand))
+            yield from ctx0.post_atomic(
+                pair["qa"], op, remote.addr + 8, remote.rkey,
+                compare=compare, swap_or_add=operand)
+            wc = yield from ctx0.poll(pair["sa"])
+            got["inbound"].append(wc.data)
+        got["bytes"] = (ctx1.mm.read_local(local.addr, 64),
+                        ctx1.mm.read_local(remote.addr, 64))
+
+    spawn(rig.sim, proc(rig.sim))
+    rig.sim.run()
+    assert got["intra"] == got["inbound"] == [
+        0, (1 << 63) - 1, -(1 << 63), -3, -3,
+    ]
+    local_bytes, remote_bytes = got["bytes"]
+    assert local_bytes == remote_bytes
+    assert int.from_bytes(local_bytes[8:16], "little", signed=True) == (
+        -3 - (1 << 62))
