@@ -29,8 +29,6 @@ class Counters:
     skip the :meth:`add` call; both write the same one counter surface.
     """
 
-    __slots__ = ("counts",)
-
     def __init__(self) -> None:
         self.counts: Dict[str, int] = defaultdict(int)
 
