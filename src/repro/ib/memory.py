@@ -80,9 +80,7 @@ class MemoryRegion:
     def write(self, raddr: int, data: bytes) -> None:
         n = len(data)
         off = self._offset(raddr, n, "write")
-        self.mm.buffer_of(self.addr)[off : off + n] = np.frombuffer(
-            data, dtype=np.uint8
-        )
+        self.mm.buffer_of(self.addr).data[off : off + n] = data
 
     def read(self, raddr: int, nbytes: int) -> bytes:
         off = self._offset(raddr, nbytes, "read")

@@ -4,7 +4,9 @@ The hot wire types (:class:`Packet`, :class:`WorkCompletion`,
 :class:`EndpointAddress`) are hand-written ``__slots__`` classes rather
 than dataclasses: one is allocated per simulated packet/completion, so
 skipping the per-instance ``__dict__`` measurably shrinks the DES
-kernel's allocation churn.
+kernel's allocation churn.  The RC and UD paths build :class:`Packet`
+and :class:`WorkCompletion` positionally, every field given, so no
+call matches keywords.
 """
 
 from __future__ import annotations
