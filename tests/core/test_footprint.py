@@ -13,6 +13,7 @@ from repro.apps import ChurnWorkload, Graph500Hybrid, HelloWorld
 from repro.core import Job, RuntimeConfig
 from repro.gasnet import LifecyclePolicy
 from repro.ib import CompletionQueue
+from repro.shmem import ShmemPE
 from repro.sim import Mailbox, Semaphore, Simulator
 
 
@@ -82,6 +83,9 @@ def test_per_pe_objects_carry_no_instance_dict(make_job, make_app):
     job = make_job()
     job.run(make_app())
     counts, with_dict = _census()
+    # The census must see the job it just ran: a design that hid live
+    # objects from the collector would otherwise pass vacuously.
+    assert counts[ShmemPE] - counts0[ShmemPE] == job.npes
     carriers = {
         cls.__qualname__: with_dict[cls] - with_dict0[cls]
         for cls in with_dict
