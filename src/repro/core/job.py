@@ -174,7 +174,7 @@ class Job:
         timeline = self.obs.timeline if self.obs is not None else None
         if timeline is not None:
             _conduit_probes(timeline, self.conduits, self.counters)
-            _hca_probes(timeline, self.hcas, self.counters)
+            _hca_probes(timeline, self.hcas, self.ctxs, self.counters)
             self.pmi_domain.install_timeline_probes(timeline)
             _shmem_probes(timeline, self.pes)
             # Scheduler depth: how much work the DES is juggling —

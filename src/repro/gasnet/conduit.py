@@ -75,11 +75,16 @@ def install_timeline_probes(timeline, conduits: List["Conduit"],
     the scalar peak the experiments report even when a transient
     maximum falls between two sampling ticks.
     """
+    def pe_connections(c: "Conduit") -> int:
+        # A static conduit's prepaid QPs are connections too; each one
+        # leaves the prepaid count as it joins ``_conns``.
+        return len(c._conns) + c.ctx.prepaid_rc_qps
+
     def live_connections() -> int:
-        return sum(len(c._conns) for c in conduits)
+        return sum(map(pe_connections, conduits))
 
     def max_pe_connections() -> int:
-        return max((len(c._conns) for c in conduits), default=0)
+        return max(map(pe_connections, conduits), default=0)
 
     def peak_connections() -> int:
         return max((c.peak_connections for c in conduits), default=0)

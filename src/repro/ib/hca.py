@@ -29,13 +29,16 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["HCA", "install_timeline_probes"]
 
 
-def install_timeline_probes(timeline, hcas, counters: Counters) -> None:
+def install_timeline_probes(timeline, hcas, ctxs,
+                            counters: Counters) -> None:
     """Register the verbs layer's time-series probes (pure reads; see
     the determinism contract in :mod:`repro.obs.timeline`).
 
     Occupancy is sampled as both the job-wide sum and the worst single
     HCA — the paper's QP-context pressure argument (Section I) is about
-    the latter."""
+    the latter.  ``hca.qps`` counts the QP objects plus the QPs the
+    static design paid for in bulk (``ctxs``' prepaid counts) but has
+    not materialised; a materialised QP leaves the prepaid count."""
     def cache_occupancy() -> int:
         return sum(len(h._qp_cache) for h in hcas)
 
@@ -43,7 +46,8 @@ def install_timeline_probes(timeline, hcas, counters: Counters) -> None:
         return max((len(h._qp_cache) for h in hcas), default=0)
 
     def live_qps() -> int:
-        return sum(len(h._qps) for h in hcas)
+        return (sum(len(h._qps) for h in hcas)
+                + sum(c.prepaid_rc_qps for c in ctxs))
 
     timeline.add_probe("hca.qp_cache_occupancy", cache_occupancy)
     timeline.add_probe("hca.qp_cache_occupancy_max", cache_occupancy_max)

@@ -42,7 +42,7 @@ class VerbsContext:
 
     __slots__ = ("sim", "hca", "rank", "cost", "counters", "mm",
                  "rc_qps_created", "ud_qps_created", "connections_established",
-                 "qp_memory_bytes", "registered_bytes", "_prepaid_rc_qps")
+                 "qp_memory_bytes", "registered_bytes", "prepaid_rc_qps")
 
     def __init__(
         self,
@@ -64,8 +64,9 @@ class VerbsContext:
         self.connections_established = 0
         self.qp_memory_bytes = 0
         self.registered_bytes = 0
-        #: QPs pre-charged by bulk accounting that may be materialised free.
-        self._prepaid_rc_qps = 0
+        #: QPs pre-charged by bulk accounting that may be materialised
+        #: free: paid for and connected, but not yet objects.
+        self.prepaid_rc_qps = 0
 
     # ------------------------------------------------------------------
     # CQs
@@ -105,8 +106,8 @@ class VerbsContext:
         prepaid: bool = False,
     ) -> Generator:
         """Create an RC QP in RESET (yields creation time unless prepaid)."""
-        if prepaid and self._prepaid_rc_qps > 0:
-            self._prepaid_rc_qps -= 1
+        if prepaid and self.prepaid_rc_qps > 0:
+            self.prepaid_rc_qps -= 1
         else:
             yield self.cost.rc_qp_create_us
             # A fault plan may fail the creation ENOMEM-style *after*
@@ -162,8 +163,10 @@ class VerbsContext:
         qp.destroy()
 
     def bulk_charge_qp_destroy(self, n: int) -> Generator:
-        """Charge teardown time for ``n`` QPs without materialising them."""
+        """Charge teardown time for ``n`` QPs without materialising them;
+        the prepaid QPs never materialised are gone after it."""
         yield n * self.cost.qp_destroy_us
+        self.prepaid_rc_qps = 0
 
     def bulk_charge_rc_qps(self, n: int, connect: bool = True) -> Generator:
         """Charge time+memory for ``n`` full RC QP setups without objects.
@@ -188,7 +191,7 @@ class VerbsContext:
             self.connections_established += n
             self.qp_memory_bytes += n * self.cost.conn_state_bytes
             self.counters.add("verbs.rc_connected", n)
-        self._prepaid_rc_qps += n
+        self.prepaid_rc_qps += n
         self.counters.add("verbs.rc_qp_created", n)
 
     # ------------------------------------------------------------------

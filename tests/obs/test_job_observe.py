@@ -6,7 +6,7 @@ from repro.apps import ChurnWorkload, HelloWorld
 from repro.cluster import cluster_a, cluster_b
 from repro.core import Job, RuntimeConfig
 from repro.gasnet import LifecyclePolicy
-from repro.obs import Observability, series_peak
+from repro.obs import Observability, series_final, series_peak
 from repro.sim import Counters
 
 from .test_determinism import PLAN
@@ -168,3 +168,20 @@ class TestChurnObservationMatrix:
         ]
         assert evict_buf["kind"] == "counter"
         assert evict_buf["value"][-1] == result.counters["conduit.evictions"]
+
+
+def test_timeline_sees_the_static_footprint():
+    # The static design pays for all npes x npes QPs at wire-up but
+    # materialises one only on first use; the series count the paid
+    # ones, each QP once, and the teardown empties both.
+    job = Job(npes=64,
+              config=RuntimeConfig.current(observe={"timeline": True}),
+              cluster=cluster_b(64, ppn=16))
+    result = job.run(HelloWorld())
+    series = result.telemetry["timeline"]["series"]
+    assert result.counters["verbs.rc_connected"] == 64 * 64
+    assert series_peak(series["conduit.connections"]) == 64 * 64
+    assert series_peak(series["conduit.connections_max_pe"]) == 64
+    assert series_peak(series["hca.qps"]) == 64 * 64 + 64
+    assert series_final(series["conduit.connections"]) == 0
+    assert series_final(series["hca.qps"]) == 0
