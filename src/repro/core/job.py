@@ -17,8 +17,8 @@ launch skew, and runs the discrete-event simulation to completion.
 from __future__ import annotations
 
 import gc
-
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 from ..check import Sanitizer
 from ..cluster import Cluster, cluster_a
@@ -41,6 +41,56 @@ from .metrics import JobResult, ResourceReport, StartupReport
 __all__ = ["Job"]
 
 
+# -- the collector policy ----------------------------------------------
+# A job allocates in two phases, the build and ``sim.run``, and almost
+# everything either phase allocates stays alive as long as the job
+# does.  The cyclic collector's scans of that machine free nothing, so
+# each phase runs with the collector paused and ends by promoting what
+# it left straight into the oldest generation without a scan
+# (``gc.freeze()`` + ``gc.unfreeze()`` splices every generation there).
+# CPython counts no promoted object towards its own full-collection
+# rule, so the build applies that rule for it: a full collection once
+# the objects promoted since the last one exceed a quarter of the
+# tracked objects that collection left.  That is what reclaims dead
+# jobs.  The collector never runs model code, so no simulated quantity
+# depends on any of this.
+
+#: Objects promoted since the last reclaim collection.
+_gc_promoted = 0
+#: Tracked objects the last reclaim collection left alive.
+_gc_long_lived = 0
+
+
+def _reclaim_dead_jobs() -> None:
+    """Run CPython's full-collection rule over the promoted objects."""
+    global _gc_promoted, _gc_long_lived
+    if gc.isenabled() and 4 * _gc_promoted > _gc_long_lived:
+        gc.collect()
+        _gc_promoted = 0
+        _gc_long_lived = len(gc.get_objects())
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the collector for one allocation phase; on success promote
+    what the phase left without a scan.  A caller that disabled the
+    collector gets no promotion, and objects a caller froze stay
+    frozen, so the promotion is skipped then too."""
+    global _gc_promoted
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+        if gc.get_freeze_count() == 0:
+            _gc_promoted += gc.get_count()[0]
+            gc.freeze()
+            gc.unfreeze()
+    finally:
+        gc.enable()
+
+
 class Job:
     """One simulated job launch."""
 
@@ -51,6 +101,13 @@ class Job:
         cluster: Optional[Cluster] = None,
         trace: bool = False,
     ) -> None:
+        _reclaim_dead_jobs()
+        with _collector_paused():
+            self._build(npes, config, cluster, trace)
+
+    def _build(self, npes: int, config: Optional[RuntimeConfig],
+               cluster: Optional[Cluster], trace: bool) -> None:
+        """Validate the arguments and assemble the machine."""
         require_positive_int("npes", npes)
         self.config = config or RuntimeConfig.proposed()
         self.cluster = cluster if cluster is not None else cluster_a(npes)
@@ -244,15 +301,9 @@ class Job:
         spawn(self.sim, join_all(self.sim), name="join")
         if timeline is not None:
             timeline.start()
-        # The event storm allocates heavily but creates no garbage
-        # cycles the run itself needs collected; at tens of thousands
-        # of PEs the cyclic GC's generational scans are a measurable
-        # fraction of wall time, so pause it for the simulation proper.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
-            self.sim.run()
+            with _collector_paused():
+                self.sim.run()
         except BaseException as exc:
             # A strict sanitizer violation inside a PE process arrives
             # wrapped in the engine's generic ProcessFailure; surface
@@ -261,9 +312,6 @@ class Job:
             if isinstance(cause, InvariantViolation):
                 raise cause from exc
             raise
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         if not done["ok"]:
             msg = (
                 "job did not complete: a PE is deadlocked "

@@ -42,7 +42,6 @@ sweep builds each distinct ``(npes, ppn)`` topology once.
 
 from __future__ import annotations
 
-import gc
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -56,14 +55,6 @@ __all__ = ["JobSpec", "SweepError", "execute", "resolve_workers",
            "resolve_workers_info", "run_sweep"]
 
 _TESTBEDS = ("A", "B")
-
-#: Jobs at or above this size leave enough cyclic garbage (generators,
-#: waitables, conduit machinery) that sweeping it eagerly after the run
-#: is a clear win: without the collect, every later job in the same
-#: process pays progressively more for generational GC over the dead
-#: machine (measured: a 2048-PE static point runs ~15% slower when it
-#: follows an uncollected 4096-PE one).
-_GC_SWEEP_NPES = 256
 
 
 class SweepError(RuntimeError):
@@ -203,17 +194,14 @@ def execute(spec: JobSpec) -> Any:
     """Run one spec to completion in this process; returns a JobResult.
 
     This is the single code path both the serial fallback and the pool
-    workers run — parallel == serial by construction.
+    workers run — parallel == serial by construction.  The dead job's
+    machine is reclaimed by the next job's build (see the collector
+    policy in :mod:`repro.core.job`).
     """
     from ..core import Job
 
     job = Job(spec.npes, config=spec.config, cluster=_cluster_for(spec))
-    try:
-        return job.run(spec.app)
-    finally:
-        if spec.npes >= _GC_SWEEP_NPES:
-            del job
-            gc.collect()
+    return job.run(spec.app)
 
 
 # ----------------------------------------------------------------------

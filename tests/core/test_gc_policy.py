@@ -1,6 +1,7 @@
 """``Job`` and the cyclic garbage collector: a job leaves the collector
 as it found it — enabled or disabled, frozen objects still frozen —
-whether its build and run succeed or raise."""
+whether its build and run succeed or raise, and the next job's build
+frees a dropped job."""
 
 import gc
 import json
@@ -98,3 +99,27 @@ def test_objects_the_caller_froze_stay_frozen():
     """)
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+def test_dead_jobs_are_reclaimed_by_the_next_build():
+    # Promotion keeps a live job out of the young generations, so only a
+    # full collection frees a dropped one: each build must apply that
+    # rule, or dead machines pile up and peak RSS grows job after job.
+    out = _fresh_interpreter("""
+        import json, resource, weakref
+        from repro.apps import HelloWorld
+        from repro.core import Job, RuntimeConfig
+
+        sims, peaks = [], []
+        for _ in range(5):
+            job = Job(npes=1024, config=RuntimeConfig.proposed())
+            job.run(HelloWorld())
+            sims.append(weakref.ref(job.sim))
+            del job
+            rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peaks.append(rss_kib / 1024)
+        print(json.dumps({"alive": [ref() is not None for ref in sims],
+                          "peak_mib": peaks}))
+    """)
+    assert not any(out["alive"][:-1]), out
+    assert out["peak_mib"][4] - out["peak_mib"][1] <= 2.0, out
